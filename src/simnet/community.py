@@ -325,16 +325,12 @@ def label_communities(p: Partition, ds: Dataset, voters: Iterable[str]) -> Parti
     if unknown:
         raise KeyError(f"voters not in dataset: {sorted(unknown)[:5]}")
     families = ds.families
-    fam_code = {f: i for i, f in enumerate(families)}
-    node_codes = np.empty(len(p.node_ids), dtype=np.int64)
-    voter_mask = np.zeros(len(p.node_ids), dtype=bool)
-    for i, nid in enumerate(p.node_ids):
-        fam = ds[nid].family
-        node_codes[i] = fam_code[fam] if fam is not None else -1
-        voter_mask[i] = nid in voter_set
+    node_codes = ds.family_codes[ds.indices_of(p.node_ids)]
+    voter_mask = np.fromiter((nid in voter_set for nid in p.node_ids), dtype=bool,
+                             count=len(p.node_ids))
     n_comms = p.n_communities
     sizes = np.bincount(p.membership, minlength=n_comms)
     codes = plurality_label_codes(p.membership, sizes, node_codes, voter_mask, n_comms)
     labels = {c: (families[code] if code >= 0 else None)
-              for c, code in enumerate(codes)}
+              for c, code in enumerate(codes.tolist())}
     return replace(p, community_labels=labels)

@@ -8,6 +8,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 log = logging.getLogger(__name__)
 
 
@@ -62,6 +64,8 @@ class Dataset:
 
     samples: tuple[Sample, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _families: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _family_codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index: dict[str, int] = {}
@@ -69,7 +73,13 @@ class Dataset:
             if s.id in index:
                 raise ValidationError(s.id, "id", "duplicate sample id")
             index[s.id] = i
+        families = tuple(sorted({s.family for s in self.samples if s.family is not None}))
+        code = {f: c for c, f in enumerate(families)}
+        codes = np.array([code.get(s.family, -1) for s in self.samples], dtype=np.int64)
+        codes.flags.writeable = False
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_families", families)
+        object.__setattr__(self, "_family_codes", codes)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -83,6 +93,10 @@ class Dataset:
     def index_of(self, sample_id: str) -> int:
         return self._index[sample_id]
 
+    def indices_of(self, sample_ids) -> np.ndarray:
+        """int64 row index of each id, in order; KeyError for an unknown id."""
+        return np.fromiter(map(self._index.__getitem__, sample_ids), dtype=np.int64)
+
     @property
     def ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.samples)
@@ -94,7 +108,12 @@ class Dataset:
     @property
     def families(self) -> tuple[str, ...]:
         """Distinct family names, sorted."""
-        return tuple(sorted({s.family for s in self.samples if s.family is not None}))
+        return self._families
+
+    @property
+    def family_codes(self) -> np.ndarray:
+        """Read-only per-sample index into ``families``; -1 where unlabeled."""
+        return self._family_codes
 
     def label_census(self) -> dict[str, int]:
         """Family name -> number of labeled samples carrying it."""

@@ -38,6 +38,18 @@ class TestDataset:
         assert ds.families == ("a", "b")
         assert ds.labeled_ids == ("s1", "s2", "s3")
 
+    def test_family_codes_index_families(self):
+        ds = Dataset((make_sample(1, "b"), make_sample(2, "a"), make_sample(3, None)))
+        assert ds.family_codes.tolist() == [1, 0, -1]
+        with pytest.raises(ValueError):
+            ds.family_codes[0] = 0
+
+    def test_indices_of(self):
+        ds = Dataset(tuple(make_sample(i) for i in range(4)))
+        assert ds.indices_of(["s3", "s0"]).tolist() == [3, 0]
+        with pytest.raises(KeyError):
+            ds.indices_of(["s0", "ghost"])
+
     def test_subset_keeps_order(self):
         ds = Dataset(tuple(make_sample(i) for i in range(5)))
         sub = ds.subset(["s3", "s0"])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -7,9 +8,15 @@ from hypothesis import given, settings, strategies as st
 from nilsimsa_oracle import ReferenceNilsimsa
 from simnet import (FEATURES, Dataset, NilsimsaDigest, Sample, SimilarityTensor,
                     WeightVector, api_similarity, build_similarity_tensor,
-                    final_similarity, fused_matrix, jaccard, nilsimsa_compare,
-                    nilsimsa_digest)
-from simnet.similarity import TRAN, _serialize_sequence
+                    final_similarity, fused_matrix, generate_planted, jaccard,
+                    nilsimsa_compare, nilsimsa_digest)
+from simnet import similarity
+from simnet.similarity import (TRAN, _compare_matrix, _digest_rows, _incidence_rows,
+                               _jaccard_matrix, _pairwise_popcount, _serialize_sequence)
+
+# sha256 over the four float64 matrices of the 16x50 planted tensor
+# (generate_planted(16, 50, 0.10, 7)), recorded from the int32-matmul build.
+TENSOR_16X50_SHA256 = "eb2397e448b2d9980e299b523385160a16f15fc7f4ef262fd1842f0e1cc2b300"
 
 # Published nilsimsa test vectors (hex digests of the reference algorithm).
 VECTOR_ABCDEFGH = "14c8118000000000030800000004042004189020001308014088003280000078"
@@ -250,15 +257,25 @@ class TestTensor:
             assert m[same].mean() > m[diff].mean(), name
 
     def test_entries_match_scalar_operations(self, small_ds, small_tensor):
-        rng = random.Random(0)
-        ids = small_ds.ids
-        for _ in range(10):
-            i, j = rng.randrange(len(ids)), rng.randrange(len(ids))
-            a, b = small_ds[ids[i]], small_ds[ids[j]]
-            assert small_tensor.api[i, j] == api_similarity(a, b)
-            assert small_tensor.permission[i, j] == jaccard(a.permissions, b.permissions)
-            assert small_tensor.activity[i, j] == jaccard(a.activity_names, b.activity_names)
-            assert small_tensor.file[i, j] == jaccard(a.file_names, b.file_names)
+        for i, a in enumerate(small_ds):
+            for j, b in enumerate(small_ds):
+                assert small_tensor.api[i, j] == api_similarity(a, b), (i, j)
+                assert small_tensor.permission[i, j] == jaccard(a.permissions, b.permissions)
+                assert small_tensor.activity[i, j] == jaccard(a.activity_names, b.activity_names)
+                assert small_tensor.file[i, j] == jaccard(a.file_names, b.file_names)
+
+    def test_planted_16x50_matches_golden(self):
+        t = build_similarity_tensor(generate_planted(16, 50, 0.10, 7))
+        h = hashlib.sha256()
+        for m in t.matrices():
+            h.update(np.ascontiguousarray(m, dtype=np.float64).tobytes())
+        assert h.hexdigest() == TENSOR_16X50_SHA256
+
+    def test_all_sets_empty_give_all_ones(self):
+        ds = Dataset(tuple(make_sample(f"s{i}", []) for i in range(3)))
+        t = build_similarity_tensor(ds)
+        for m in t.matrices():
+            assert (m == 1.0).all()
 
     def test_subset_slices_every_matrix(self, small_tensor):
         idx = [3, 0, 7]
@@ -281,6 +298,25 @@ class TestTensor:
         small_tensor.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_trailing_bytes_rejected(self, small_tensor, tmp_path):
+        path = tmp_path / "t.bin"
+        small_tensor.save(path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="corrupt tensor cache: trailing bytes"):
+            SimilarityTensor.load(path)
+
+    def test_failed_save_leaves_previous_cache_intact(self, small_tensor, tmp_path):
+        path = tmp_path / "t.bin"
+        small_tensor.save(path)
+        before = path.read_bytes()
+        # the fourth block cannot convert to float64, so the write fails midway
+        bad = np.array([[1.0, "x"], ["x", 1.0]], dtype=object)
+        broken = SimilarityTensor(("a", "b"), np.eye(2), np.eye(2), np.eye(2), bad)
+        with pytest.raises(ValueError):
+            broken.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]
+
     def test_unknown_cache_version_rejected(self, small_tensor, tmp_path):
         path = tmp_path / "t.bin"
         small_tensor.save(path)
@@ -297,3 +333,63 @@ class TestTensor:
             i = rng.randrange(small_tensor.n)
             j = rng.randrange(small_tensor.n)
             assert fused[i, j] == final_similarity(small_tensor, w, i, j)
+
+
+def _scalar_jaccard_matrix(sets):
+    return np.array([[jaccard(a, b) for b in sets] for a in sets])
+
+
+def _random_sets(rng, vocab_size, n):
+    """n random subsets of a vocabulary of exactly ``vocab_size`` tokens."""
+    vocab = [f"tok{k}" for k in range(vocab_size)]
+    sets = [frozenset(vocab)]  # one full set pins the vocabulary size
+    sets += [frozenset(rng.sample(vocab, rng.randrange(vocab_size + 1)))
+             for _ in range(n - 1)]
+    return sets
+
+
+class TestPopcountKernel:
+    def test_empty_vocabulary(self):
+        sets = [frozenset()] * 3
+        assert _incidence_rows(sets).shape == (3, 1)
+        assert np.array_equal(_jaccard_matrix(sets), _scalar_jaccard_matrix(sets))
+
+    def test_one_set_empty(self):
+        sets = [frozenset({"a", "b"}), frozenset(), frozenset({"b", "c"})]
+        sim = _jaccard_matrix(sets)
+        assert np.array_equal(sim, _scalar_jaccard_matrix(sets))
+        assert sim[0, 1] == sim[1, 2] == 0.0 and sim[1, 1] == 1.0
+
+    @pytest.mark.parametrize("vocab_size", [1, 63, 64, 65, 128, 129])
+    def test_word_boundary_vocabularies(self, vocab_size):
+        sets = _random_sets(random.Random(vocab_size), vocab_size, 12)
+        rows = _incidence_rows(sets)
+        assert rows.dtype == np.uint64
+        assert rows.shape == (12, -(-vocab_size // 64))
+        assert np.array_equal(_jaccard_matrix(sets), _scalar_jaccard_matrix(sets))
+
+    def test_single_sample(self):
+        assert _jaccard_matrix([frozenset({"a"})]).tolist() == [[1.0]]
+        assert _jaccard_matrix([frozenset()]).tolist() == [[1.0]]
+        ds = Dataset((make_sample("only", ["a.b", "c.d", "e.f"]),))
+        assert _compare_matrix(_digest_rows(ds)).tolist() == [[1.0]]
+
+    def test_many_blocks_match_one_block(self, monkeypatch, small_ds):
+        sets = _random_sets(random.Random(5), 129, 40)
+        digests = _digest_rows(small_ds)
+        jac, cmp_ = _jaccard_matrix(sets), _compare_matrix(digests)
+        monkeypatch.setattr(similarity, "_BLOCK_BYTES", 1)
+        assert len(list(_pairwise_popcount(_incidence_rows(sets), np.bitwise_and))) == 40
+        assert np.array_equal(_jaccard_matrix(sets), jac)
+        assert np.array_equal(_jaccard_matrix(sets), _scalar_jaccard_matrix(sets))
+        assert np.array_equal(_compare_matrix(digests), cmp_)
+
+    def test_counts_match_python_popcount(self):
+        rows = np.frombuffer(random.Random(0).randbytes(9 * 3 * 8), dtype=np.uint64)
+        rows = rows.reshape(9, 3)
+        xor = np.vstack([c for _, _, c in _pairwise_popcount(rows, np.bitwise_xor)])
+        for i in range(9):
+            for j in range(9):
+                expected = sum(bin(int(a) ^ int(b)).count("1")
+                               for a, b in zip(rows[i], rows[j]))
+                assert xor[i, j] == expected
