@@ -63,6 +63,8 @@ class Dataset:
     """An ordered, id-unique collection of samples."""
 
     samples: tuple[Sample, ...]
+    _ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _labeled_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
     _families: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _family_codes: np.ndarray = field(init=False, repr=False, compare=False)
@@ -73,10 +75,14 @@ class Dataset:
             if s.id in index:
                 raise ValidationError(s.id, "id", "duplicate sample id")
             index[s.id] = i
+        ids = tuple(index)
+        labeled_ids = tuple(s.id for s in self.samples if s.family is not None)
         families = tuple(sorted({s.family for s in self.samples if s.family is not None}))
         code = {f: c for c, f in enumerate(families)}
         codes = np.array([code.get(s.family, -1) for s in self.samples], dtype=np.int64)
         codes.flags.writeable = False
+        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_labeled_ids", labeled_ids)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_families", families)
         object.__setattr__(self, "_family_codes", codes)
@@ -99,11 +105,11 @@ class Dataset:
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.samples)
+        return self._ids
 
     @property
     def labeled_ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.samples if s.family is not None)
+        return self._labeled_ids
 
     @property
     def families(self) -> tuple[str, ...]:

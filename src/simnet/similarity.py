@@ -1,12 +1,17 @@
 """Per-feature pairwise similarities and their weighted fusion.
 
 API-call sequences are compared with Nilsimsa locality-sensitive hashing;
-the three string-set features use Jaccard.  Both pairwise measures run on
-one blocked popcount kernel over bit-packed uint64 rows: Nilsimsa counts
-the differing bits of two digests (xor), Jaccard the shared tokens of two
-sets' packed token incidence (and).  All four n×n matrices are computed
-once into a SimilarityTensor; fusing them under a WeightVector is a linear
-reweighting, so weight search never touches raw features again.
+the three string-set features use Jaccard.  A digest gathers every
+per-byte lookup of the trigram hash from one (256, 32) table in a single
+take, forms each combination's buckets with wrapping uint8 arithmetic and
+counts them with one bincount.  Both pairwise measures run on one blocked
+popcount kernel over bit-packed uint64 rows: Nilsimsa counts the differing
+bits of two digests (xor), Jaccard the shared tokens of two sets' packed
+token incidence (and).  Both are symmetric, so the kernel computes only
+the upper triangle and each block is written with its transpose.  All
+four n×n matrices are computed once into a SimilarityTensor; fusing them
+under a WeightVector is a linear reweighting, so weight search never
+touches raw features again.
 """
 
 from __future__ import annotations
@@ -44,9 +49,6 @@ _TRAN_HEX = (
     "F1CDE46AE7A9FDC437C8D2F6DF58724E"
 )
 TRAN = bytes.fromhex(_TRAN_HEX)
-_T = np.frombuffer(TRAN, dtype=np.uint8).astype(np.int64)
-
-_SEPARATOR = b"\n"
 
 
 class OpCounters:
@@ -95,56 +97,67 @@ class NilsimsaDigest:
         return self.bits.hex()
 
 
-def _tran3(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
-    """Hash one trigram family: arrays of window bytes -> bucket indices."""
-    return ((_T[(a + n) & 255] ^ (_T[b] * (n + n + 1))) + _T[c ^ _T[n]]) & 255
+def _lookup_table() -> np.ndarray:
+    """Every per-byte lookup of the trigram hash, as (256, 4) uint64 rows.
 
-
-def _accumulate(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Bucket counts and trigram total for one byte string (as int array).
-
-    A 5-byte window slides over the input; each position past the ramp-up
-    contributes 8 trigram combinations.  Slicing per combination reproduces
-    the windowed scan without the per-byte loop.
+    Combination k hashes its bytes (a, b, c) to
+    ``((T[(a + k) & 255] ^ T[b]·(2k + 1)) + T[c ^ T[k]]) & 255``, and each of
+    the three terms depends on one byte only.  Row x holds them at uint8
+    columns 3k, 3k + 1 and 3k + 2 (reduced mod 256, which commutes with the
+    xor and the add); eight zero columns pad a row to four whole words.
     """
-    acc = np.zeros(256, dtype=np.int64)
-    total = 0
-    n = x.shape[0]
-    if n >= 3:
-        combos = [(x[2:], x[1:-1], x[:-2], 0)]
-        if n >= 4:
-            combos += [
-                (x[3:], x[2:-1], x[:-3], 1),
-                (x[3:], x[1:-2], x[:-3], 2),
-            ]
-        if n >= 5:
-            ch, w0, w1, w2, w3 = x[4:], x[3:-1], x[2:-2], x[1:-3], x[:-4]
-            combos += [
-                (ch, w0, w3, 3),
-                (ch, w1, w3, 4),
-                (ch, w2, w3, 5),
-                (w3, w0, ch, 6),
-                (w3, w2, ch, 7),
-            ]
-        for a, b, c, k in combos:
-            acc += np.bincount(_tran3(a, b, c, k), minlength=256)
-            total += a.shape[0]
-    return acc, total
+    t = np.frombuffer(TRAN, dtype=np.uint8).astype(np.int64)
+    x = np.arange(256)
+    table = np.zeros((256, 32), dtype=np.uint8)
+    for k in range(8):
+        table[:, 3 * k] = t[(x + k) & 255]
+        table[:, 3 * k + 1] = (t[x] * (2 * k + 1)) & 255
+        table[:, 3 * k + 2] = t[x ^ t[k]]
+    return table.view(np.uint64)
 
 
-def _pack_digest(acc: np.ndarray, total: int) -> bytes:
+_LOOKUP = _lookup_table()
+
+# The (a, b, c) bytes of the eight combinations as slices of the input:
+# a 5-byte window ends at each byte (_CH, then _W0.._W3 going back).  The
+# three slices of a combination always have equal length, zero when the
+# input is shorter than its window, so short inputs need no special case.
+_CH, _W0, _W1, _W2, _W3 = (slice(4, None), slice(3, -1), slice(2, -2), slice(1, -3),
+                           slice(None, -4))
+_COMBOS = (
+    (slice(2, None), slice(1, -1), slice(None, -2)),
+    (slice(3, None), slice(2, -1), slice(None, -3)),
+    (slice(3, None), slice(1, -2), slice(None, -3)),
+    (_CH, _W0, _W3),
+    (_CH, _W1, _W3),
+    (_CH, _W2, _W3),
+    (_W3, _W0, _CH),
+    (_W3, _W2, _CH),
+)
+
+
+def _digest_bits(data: bytes) -> bytes:
+    """The 32 digest bytes of a byte buffer: one table gather, one bincount.
+
+    Each byte's row of _LOOKUP holds all 24 of its lookups; a combination's
+    buckets are then ``(a ^ b) + c`` over slices of the gathered columns,
+    and uint8 arithmetic wraps exactly like the reference's ``& 255``.
+    """
+    g = _LOOKUP.take(np.frombuffer(data, dtype=np.uint8), axis=0).view(np.uint8)
+    buckets = np.concatenate([(g[a, 3 * k] ^ g[b, 3 * k + 1]) + g[c, 3 * k + 2]
+                              for k, (a, b, c) in enumerate(_COMBOS)])
+    total = buckets.shape[0]
     if total == 0:
         return bytes(32)
     threshold = total // 256  # mean bucket count, floor — bit set iff strictly above
-    bits = acc > threshold
+    bits = np.bincount(buckets, minlength=256) > threshold
     return np.packbits(bits, bitorder="little")[::-1].tobytes()
 
 
 def nilsimsa_digest(data: bytes) -> NilsimsaDigest:
     """Digest a byte string; empty or sub-trigram input gives all-zero bits."""
     counters.digest_calls += 1
-    x = np.frombuffer(bytes(data), dtype=np.uint8).astype(np.int64)
-    return NilsimsaDigest(_pack_digest(*_accumulate(x)))
+    return NilsimsaDigest(_digest_bits(bytes(data)))
 
 
 def nilsimsa_compare(a: NilsimsaDigest, b: NilsimsaDigest) -> int:
@@ -154,8 +167,10 @@ def nilsimsa_compare(a: NilsimsaDigest, b: NilsimsaDigest) -> int:
 
 
 def _serialize_sequence(seq: Iterable[str]) -> bytes:
-    # separator byte keeps token boundaries from colliding ("ab","c" vs "a","bc")
-    return _SEPARATOR.join(tok.encode("utf-8") for tok in seq)
+    # separator byte keeps token boundaries from colliding ("ab","c" vs "a","bc");
+    # UTF-8 encodes "\n" as that one byte, so joining the tokens before encoding
+    # gives the same bytes as joining their encodings
+    return "\n".join(seq).encode("utf-8")
 
 
 def _score_to_unit(score: int) -> float:
@@ -305,34 +320,34 @@ class SimilarityTensor:
 
 def _digest_rows(ds: Dataset) -> np.ndarray:
     """Stack every sample's sequence digest into an (n, 32) uint8 array."""
-    out = np.empty((len(ds), 32), dtype=np.uint8)
-    for i, s in enumerate(ds):
-        x = np.frombuffer(_serialize_sequence(s.api_sequence), dtype=np.uint8)
-        out[i] = np.frombuffer(_pack_digest(*_accumulate(x.astype(np.int64))), dtype=np.uint8)
+    bits = b"".join(_digest_bits(_serialize_sequence(s.api_sequence)) for s in ds)
     counters.digest_calls += len(ds)
-    return out
+    return np.frombuffer(bits, dtype=np.uint8).reshape(len(ds), 32)
 
 
-# Rows per block are chosen so that one block's (words, rows, n) uint64 cube
-# stays near this size; it bounds peak memory and never changes results.
+# Rows per block are chosen so that one block's (words, rows, n - lo) uint64
+# cube stays near this size; it bounds peak memory and never changes results.
 # At n = 400 and 800, 256 KiB was faster and lighter than 1-4 MiB blocks.
 _BLOCK_BYTES = 256 << 10
 
 
 def _pairwise_popcount(rows: np.ndarray, op) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (lo, hi, counts) with counts[i - lo, j] = popcount(op(rows[i], rows[j])).
+    """Yield (lo, hi, counts) with counts[i - lo, j - lo] = popcount(op(rows[i], rows[j])).
 
     ``rows`` is an (n, words) uint64 array of bit-packed rows and ``op`` a
-    bitwise ufunc; the blocks cover rows 0..n in order.  The cube is laid
-    out word-major so the sum over words adds whole (rows, n) planes.
+    commutative bitwise ufunc, so the counts are symmetric and only the
+    upper triangle is computed: each block pairs rows lo..hi with columns
+    lo..n, and the blocks cover rows 0..n in order.  The cube is laid out
+    word-major so the sum over words adds whole (rows, n - lo) planes.
     """
     n, words = rows.shape
     cols = np.ascontiguousarray(rows.T)
-    block = max(1, _BLOCK_BYTES // max(1, 8 * n * words))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        cube = op(cols[:, lo:hi, None], cols[:, None, :])
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, _BLOCK_BYTES // (8 * (n - lo) * words)))
+        cube = op(cols[:, lo:hi, None], cols[:, None, lo:])
         yield lo, hi, np.bitwise_count(cube).sum(axis=0, dtype=np.int64)
+        lo = hi
 
 
 def _compare_matrix(digests: np.ndarray) -> np.ndarray:
@@ -340,7 +355,9 @@ def _compare_matrix(digests: np.ndarray) -> np.ndarray:
     n = digests.shape[0]
     sim = np.empty((n, n), dtype=np.float64)
     for lo, hi, diff in _pairwise_popcount(digests.view(np.uint64), np.bitwise_xor):
-        sim[lo:hi] = ((128 - diff) / 128.0 + 1.0) / 2.0
+        block = ((128 - diff) / 128.0 + 1.0) / 2.0
+        sim[lo:hi, lo:] = block
+        sim[lo:, lo:hi] = block.T
     np.fill_diagonal(sim, 1.0)
     return sim
 
@@ -368,8 +385,10 @@ def _jaccard_matrix(sets: list[frozenset[str]]) -> np.ndarray:
     sizes = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
     sim = np.empty((n, n), dtype=np.float64)
     for lo, hi, inter in _pairwise_popcount(rows, np.bitwise_and):
-        union = sizes[lo:hi, None] + sizes[None, :] - inter
-        sim[lo:hi] = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
+        union = sizes[lo:hi, None] + sizes[None, lo:] - inter
+        block = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
+        sim[lo:hi, lo:] = block
+        sim[lo:, lo:hi] = block.T
     counters.jaccard_calls += n * (n - 1) // 2
     np.fill_diagonal(sim, 1.0)
     return sim

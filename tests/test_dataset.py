@@ -38,6 +38,11 @@ class TestDataset:
         assert ds.families == ("a", "b")
         assert ds.labeled_ids == ("s1", "s2", "s3")
 
+    def test_ids_computed_once(self):
+        ds = Dataset((make_sample(1, "b"), make_sample(2, None), make_sample(3, "a")))
+        assert ds.ids == ("s1", "s2", "s3") and ds.labeled_ids == ("s1", "s3")
+        assert ds.ids is ds.ids and ds.labeled_ids is ds.labeled_ids
+
     def test_family_codes_index_families(self):
         ds = Dataset((make_sample(1, "b"), make_sample(2, "a"), make_sample(3, None)))
         assert ds.family_codes.tolist() == [1, 0, -1]

@@ -12,11 +12,16 @@ from simnet import (FEATURES, Dataset, NilsimsaDigest, Sample, SimilarityTensor,
                     nilsimsa_compare, nilsimsa_digest)
 from simnet import similarity
 from simnet.similarity import (TRAN, _compare_matrix, _digest_rows, _incidence_rows,
-                               _jaccard_matrix, _pairwise_popcount, _serialize_sequence)
+                               _jaccard_matrix, _pairwise_popcount, _score_to_unit,
+                               _serialize_sequence)
 
 # sha256 over the four float64 matrices of the 16x50 planted tensor
 # (generate_planted(16, 50, 0.10, 7)), recorded from the int32-matmul build.
 TENSOR_16X50_SHA256 = "eb2397e448b2d9980e299b523385160a16f15fc7f4ef262fd1842f0e1cc2b300"
+
+# sha256 over _digest_rows of the same corpus, an (800, 32) uint8 array,
+# recorded from the per-combination int64 lookup digests.
+DIGESTS_16X50_SHA256 = "13f305d838e17248b7ef1930a3483c4ff240193610047491f873652a04722ee3"
 
 # Published nilsimsa test vectors (hex digests of the reference algorithm).
 VECTOR_ABCDEFGH = "14c8118000000000030800000004042004189020001308014088003280000078"
@@ -26,6 +31,21 @@ VECTOR_ABCDEFGHIJK = "14c811840010000c0328200108040630041890200217582d4098103280
 def make_sample(sid, seq, perms=(), acts=(), files=(), family="f"):
     return Sample(sid, family, tuple(seq), frozenset(perms), frozenset(acts),
                   frozenset(files))
+
+
+def _sequences_dataset(seqs):
+    return Dataset(tuple(make_sample(f"s{i}", q) for i, q in enumerate(seqs)))
+
+
+# Empty and separator-only sequences, every serialized length from 1 to 5
+# bytes (the Nilsimsa ramp-up), multi-byte UTF-8, one long token, and a
+# realistic 300-token sequence.
+DIGEST_SEQUENCES = [
+    (), ("",), ("", "", ""),
+    ("a",), ("a", ""), ("a", "b"), ("ab", "c"), ("a", "b", "c"),
+    ("é", "\n\n"), ("x" * 1000,),
+    tuple(f"Api{i % 37}.call{i % 11}" for i in range(300)),
+]
 
 
 class TestNilsimsa:
@@ -102,6 +122,30 @@ class TestNilsimsa:
             mutated.append(nilsimsa_compare(d, nilsimsa_digest(_serialize_sequence(twin))))
             unrelated.append(nilsimsa_compare(d, nilsimsa_digest(_serialize_sequence(other))))
         assert np.mean(mutated) > np.mean(unrelated)
+
+
+class TestDigestRows:
+    def test_rows_match_scalar_digest_and_oracle(self):
+        rows = _digest_rows(_sequences_dataset(DIGEST_SEQUENCES))
+        assert rows.shape == (len(DIGEST_SEQUENCES), 32) and rows.dtype == np.uint8
+        for seq, row in zip(DIGEST_SEQUENCES, rows):
+            data = _serialize_sequence(seq)
+            assert row.tobytes() == nilsimsa_digest(data).bits, seq
+            assert row.tobytes() == ReferenceNilsimsa(data).digest(), seq
+
+    @given(st.lists(st.lists(st.text(max_size=8), max_size=40), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_oracle_on_random_token_lists(self, seqs):
+        rows = _digest_rows(_sequences_dataset(seqs))
+        for seq, row in zip(seqs, rows):
+            data = _serialize_sequence(seq)
+            assert data == b"\n".join(tok.encode("utf-8") for tok in seq)
+            assert row.tobytes() == nilsimsa_digest(data).bits == ReferenceNilsimsa(data).digest()
+
+    def test_planted_16x50_matches_golden(self):
+        rows = _digest_rows(generate_planted(16, 50, 0.10, 7))
+        assert rows.shape == (800, 32)
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == DIGESTS_16X50_SHA256
 
 
 class TestApiSimilarity:
@@ -378,18 +422,50 @@ class TestPopcountKernel:
         sets = _random_sets(random.Random(5), 129, 40)
         digests = _digest_rows(small_ds)
         jac, cmp_ = _jaccard_matrix(sets), _compare_matrix(digests)
+        bits = [NilsimsaDigest(row.tobytes()) for row in digests]
+        scalar_cmp = np.array([[_score_to_unit(nilsimsa_compare(a, b)) for b in bits]
+                               for a in bits])
         monkeypatch.setattr(similarity, "_BLOCK_BYTES", 1)
         assert len(list(_pairwise_popcount(_incidence_rows(sets), np.bitwise_and))) == 40
-        assert np.array_equal(_jaccard_matrix(sets), jac)
-        assert np.array_equal(_jaccard_matrix(sets), _scalar_jaccard_matrix(sets))
-        assert np.array_equal(_compare_matrix(digests), cmp_)
+        # 624 bytes gives blocks of one row, then of 2-4 rows as n - lo shrinks
+        for block_bytes in (1, 624):
+            monkeypatch.setattr(similarity, "_BLOCK_BYTES", block_bytes)
+            for blocked, single in ((_jaccard_matrix(sets), jac),
+                                    (_compare_matrix(digests), cmp_)):
+                assert np.array_equal(blocked, single)
+                assert np.array_equal(blocked, blocked.T)
+            assert np.array_equal(_jaccard_matrix(sets), _scalar_jaccard_matrix(sets))
+            assert np.array_equal(_compare_matrix(digests), scalar_cmp)
+
+    @staticmethod
+    def _python_popcounts(rows, op):
+        return np.array([[sum(bin(op(int(a), int(b))).count("1") for a, b in zip(ri, rj))
+                          for rj in rows] for ri in rows])
+
+    # Over 13 rows of 3 words, 1 byte gives one row per block and 624 bytes
+    # gives blocks of 2, 2, 2, 3 and 4 rows, since rows per block follow n - lo.
+    @pytest.mark.parametrize("block_bytes, spans", [
+        (1, [(i, i + 1) for i in range(13)]),
+        (624, [(0, 2), (2, 4), (4, 6), (6, 9), (9, 13)]),
+    ], ids=["one-row", "uneven"])
+    def test_blocks_tile_upper_triangle(self, monkeypatch, block_bytes, spans):
+        rows = np.frombuffer(random.Random(3).randbytes(13 * 3 * 8), dtype=np.uint64)
+        rows = rows.reshape(13, 3)
+        monkeypatch.setattr(similarity, "_BLOCK_BYTES", block_bytes)
+        for op, py_op in ((np.bitwise_and, int.__and__), (np.bitwise_xor, int.__xor__)):
+            expected = self._python_popcounts(rows, py_op)
+            cover = np.zeros((13, 13), dtype=np.int64)
+            blocks = []
+            for lo, hi, counts in _pairwise_popcount(rows, op):
+                assert counts.shape == (hi - lo, 13 - lo)
+                assert np.array_equal(counts, expected[lo:hi, lo:])
+                cover[lo:hi, lo:] += 1
+                blocks.append((lo, hi))
+            assert blocks == spans
+            assert np.array_equal(np.triu(cover), np.triu(np.ones((13, 13), dtype=np.int64)))
 
     def test_counts_match_python_popcount(self):
         rows = np.frombuffer(random.Random(0).randbytes(9 * 3 * 8), dtype=np.uint64)
         rows = rows.reshape(9, 3)
         xor = np.vstack([c for _, _, c in _pairwise_popcount(rows, np.bitwise_xor)])
-        for i in range(9):
-            for j in range(9):
-                expected = sum(bin(int(a) ^ int(b)).count("1")
-                               for a, b in zip(rows[i], rows[j]))
-                assert xor[i, j] == expected
+        assert np.array_equal(xor, self._python_popcounts(rows, int.__xor__))
