@@ -20,19 +20,21 @@ from .optimizer import (NoLabeledSamplesError, OptimizerConfig,
                         OptimizerTrace, SweepPoint, SweepReport, TraceEntry,
                         clustering_error, derive_seed, optimize_weights,
                         propose_weights, threshold_sweep)
-from .similarity import (FEATURES, NilsimsaDigest, SimilarityTensor,
-                         WeightVector, api_similarity, build_similarity_tensor,
-                         counters, final_similarity, fused_matrix, jaccard,
-                         nilsimsa_compare, nilsimsa_digest)
+from .similarity import (FEATURES, CacheVersionError, NilsimsaDigest,
+                         SimilarityTensor, WeightVector, api_similarity,
+                         build_similarity_tensor, final_similarity,
+                         fused_matrix, jaccard, nilsimsa_compare,
+                         nilsimsa_digest)
 
 __version__ = "1.0.0"
 
 __all__ = [
     "Dataset", "Sample", "DatasetError", "ParseError", "ValidationError",
     "load_dataset", "save_dataset", "generate_planted",
-    "FEATURES", "NilsimsaDigest", "SimilarityTensor", "WeightVector",
+    "FEATURES", "CacheVersionError", "NilsimsaDigest", "SimilarityTensor",
+    "WeightVector",
     "nilsimsa_digest", "nilsimsa_compare", "api_similarity", "jaccard",
-    "build_similarity_tensor", "final_similarity", "fused_matrix", "counters",
+    "build_similarity_tensor", "final_similarity", "fused_matrix",
     "SimilarityGraph", "DegreeReport", "build_graph", "degree_report",
     "Partition", "ModularityUndefinedError", "modularity", "louvain",
     "label_communities",

@@ -20,8 +20,8 @@ from .evaluation import (ClusteringReport, classify, kfold_crossval,
 from .netgraph import SimilarityGraph, build_graph
 from .optimizer import (OptimizerConfig, OptimizerTrace, derive_seed,
                         optimize_weights, threshold_sweep)
-from .similarity import (FEATURES, SimilarityTensor, WeightVector,
-                         build_similarity_tensor)
+from .similarity import (FEATURES, CacheVersionError, SimilarityTensor,
+                         WeightVector, build_similarity_tensor)
 
 log = logging.getLogger(__name__)
 
@@ -49,7 +49,6 @@ class RunConfig:
     threshold_percent: float = 90.0
     iterations: int = 1000
     learning_rate: float = 0.05
-    k_folds: int = 5
     seed: int = 0
     output_dir: Path = Path(".")
     cache_path: Path | None = None
@@ -58,8 +57,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 <= self.threshold_percent <= 100.0:
             raise ValueError("threshold must resolve to 0-100 percent")
-        if self.iterations < 1 or self.k_folds < 1:
-            raise ValueError("iterations and k must be >= 1")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
 
     @property
     def threshold(self) -> float:
@@ -110,12 +109,16 @@ def _tensor(ds: Dataset, cache: str | None) -> SimilarityTensor:
     if cache:
         cache_path = Path(cache)
         if cache_path.exists():
-            t = SimilarityTensor.load(cache_path)
-            if t.sample_order == ds.ids:
-                log.info("loaded tensor cache %s", cache_path)
-                return t
-            log.warning("tensor cache %s does not match dataset; rebuilding",
-                        cache_path)
+            try:
+                t = SimilarityTensor.load(cache_path)
+            except CacheVersionError as e:
+                log.warning("tensor cache %s: %s; rebuilding", cache_path, e)
+            else:
+                if t.sample_order == ds.ids:
+                    log.info("loaded tensor cache %s", cache_path)
+                    return t
+                log.warning("tensor cache %s does not match dataset; rebuilding",
+                            cache_path)
         t = build_similarity_tensor(ds)
         t.save(cache_path)
         return t

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
-from .similarity import SimilarityTensor, WeightVector, fused_matrix
+from .similarity import SimilarityTensor, WeightVector, fused_matrix, pair_indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,12 +68,6 @@ class SimilarityGraph:
                    float(threshold), weights_used or WeightVector.equal())
 
 
-@lru_cache(maxsize=8)
-def _triu_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    iu, ju = np.triu_indices(n, k=1)
-    return iu.astype(np.int64), ju.astype(np.int64)
-
-
 def build_graph(t: SimilarityTensor, w: WeightVector,
                 threshold: float) -> SimilarityGraph:
     """Connect every pair whose fused similarity strictly exceeds threshold.
@@ -85,11 +78,10 @@ def build_graph(t: SimilarityTensor, w: WeightVector,
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     fs = fused_matrix(t, w)
-    iu, ju = _triu_pairs(t.n)
-    vals = fs[iu, ju]
-    mask = vals > threshold
-    return SimilarityGraph(t.sample_order, iu[mask], ju[mask],
-                           vals[mask], threshold, w)
+    iu, ju = pair_indices(t.n)
+    keep = fs > threshold
+    return SimilarityGraph(t.sample_order, iu[keep], ju[keep],
+                           fs[keep], threshold, w)
 
 
 @dataclass(frozen=True)

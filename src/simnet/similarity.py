@@ -7,11 +7,12 @@ take, forms each combination's buckets with wrapping uint8 arithmetic and
 counts them with one bincount.  Both pairwise measures run on one blocked
 popcount kernel over bit-packed uint64 rows: Nilsimsa counts the differing
 bits of two digests (xor), Jaccard the shared tokens of two sets' packed
-token incidence (and).  Both are symmetric, so the kernel computes only
-the upper triangle and each block is written with its transpose.  All
-four n×n matrices are computed once into a SimilarityTensor; fusing them
-under a WeightVector is a linear reweighting, so weight search never
-touches raw features again.
+token incidence (and).  Both are symmetric with a unit diagonal, so the
+kernel computes only the upper triangle and each block's strict upper
+part goes straight into a condensed vector of the n(n−1)/2 pairs.  The
+four condensed features are computed once into a SimilarityTensor;
+fusing them under a WeightVector is a linear reweighting, so weight search
+never touches raw features again.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,34 +51,6 @@ _TRAN_HEX = (
     "F1CDE46AE7A9FDC437C8D2F6DF58724E"
 )
 TRAN = bytes.fromhex(_TRAN_HEX)
-
-
-class OpCounters:
-    """Tallies of expensive raw-feature evaluations.
-
-    Exists so tests can assert that weight optimization only reweights the
-    cached tensor: snapshot before, compare after, expect no change.
-    """
-
-    def __init__(self):
-        self.digest_calls = 0
-        self.jaccard_calls = 0
-        self.tensor_builds = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "digest_calls": self.digest_calls,
-            "jaccard_calls": self.jaccard_calls,
-            "tensor_builds": self.tensor_builds,
-        }
-
-    def reset(self) -> None:
-        self.digest_calls = 0
-        self.jaccard_calls = 0
-        self.tensor_builds = 0
-
-
-counters = OpCounters()
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +130,6 @@ def _digest_bits(data: bytes) -> bytes:
 
 def nilsimsa_digest(data: bytes) -> NilsimsaDigest:
     """Digest a byte string; empty or sub-trigram input gives all-zero bits."""
-    counters.digest_calls += 1
     return NilsimsaDigest(_digest_bits(bytes(data)))
 
 
@@ -190,7 +163,6 @@ def api_similarity(a: Sample, b: Sample) -> float:
 
 def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
     """|A∩B| / |A∪B|.  Two empty sets are equal (1.0); one empty gives 0.0."""
-    counters.jaccard_calls += 1
     sa, sb = set(a), set(b)
     if not sa and not sb:
         return 1.0
@@ -236,9 +208,69 @@ class WeightVector:
         return dict(zip(FEATURES, self.as_tuple()))
 
 
+def _row_start(n: int, i):
+    """Condensed position of pair (i, i + 1), where row i's pairs begin.
+
+    Pairs (i, j), i < j, of n samples are numbered row by row in
+    ``np.triu_indices(n, 1)`` order, so row i starts after the
+    (n - 1) + ... + (n - i) pairs of the rows above it.  Works elementwise
+    on integer arrays, and ``_row_start(n, n)`` is the pair count.
+    """
+    return i * (2 * n - i - 1) // 2
+
+
+@lru_cache(maxsize=8)
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column (int64) of every condensed pair of n samples."""
+    iu, ju = np.triu_indices(n, k=1)
+    return iu.astype(np.int64), ju.astype(np.int64)
+
+
+@lru_cache(maxsize=4)
+def _dense_index(n: int) -> np.ndarray:
+    """(n, n) intp gather index from a condensed vector with 1.0 appended.
+
+    Entry (i, j) holds the position of pair (i, j) or (j, i); the diagonal
+    points at the appended 1.0, one past the last pair.
+    """
+    idx = np.zeros((n, n), dtype=np.intp)
+    idx[np.triu_indices(n, k=1)] = np.arange(_row_start(n, n))
+    idx += idx.T
+    np.fill_diagonal(idx, _row_start(n, n))
+    return idx
+
+
+class _DenseMatrices(Sequence):
+    """The four features of a tensor as dense n×n matrices.
+
+    Each access expands one feature into a new C-contiguous symmetric
+    array with a unit diagonal; nothing is cached, so iterating twice
+    expands twice and the tensor itself stays condensed.
+    """
+
+    def __init__(self, t: "SimilarityTensor"):
+        self._t = t
+
+    def __len__(self) -> int:
+        return len(FEATURES)
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        v = self._t.vectors()[k]
+        return np.append(v, 1.0).take(_dense_index(self._t.n))
+
+
+class CacheVersionError(ValueError):
+    """A tensor cache written in a format this version does not read."""
+
+
 @dataclass(frozen=True, eq=False)
 class SimilarityTensor:
-    """Four symmetric n×n per-feature similarity matrices plus row order."""
+    """Four symmetric per-feature similarities of n samples, condensed.
+
+    Each feature is a (P,) float64 vector, P = n(n−1)/2, holding the pairs
+    (i, j), i < j, in ``np.triu_indices(n, 1)`` order; the unit diagonal is
+    implied.  ``pair`` reads one pair and ``matrices`` expands to dense.
+    """
 
     sample_order: tuple[str, ...]
     api: np.ndarray
@@ -247,32 +279,52 @@ class SimilarityTensor:
     file: np.ndarray
 
     def __post_init__(self):
-        n = len(self.sample_order)
-        for name, m in zip(FEATURES, self.matrices()):
-            if m.shape != (n, n):
-                raise ValueError(f"{name} matrix shape {m.shape} != ({n}, {n})")
+        p = _row_start(self.n, self.n)
+        for name, v in zip(FEATURES, self.vectors()):
+            if v.shape != (p,):
+                raise ValueError(f"{name} vector shape {v.shape} != ({p},)")
 
     @property
     def n(self) -> int:
         return len(self.sample_order)
 
-    def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (self.api, self.permission, self.activity, self.file)
 
-    def matrix(self, feature: str) -> np.ndarray:
-        return self.matrices()[FEATURES.index(feature)]
+    def matrices(self) -> Sequence[np.ndarray]:
+        """The dense n×n matrices, expanded one feature per access."""
+        return _DenseMatrices(self)
+
+    def pair(self, i: int, j: int) -> tuple[float, float, float, float]:
+        """The four similarities of samples i and j (all 1.0 when i == j)."""
+        n = self.n
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"pair ({i}, {j}) out of range for {n} samples")
+        if i == j:
+            return (1.0, 1.0, 1.0, 1.0)
+        lo, hi = min(i, j), max(i, j)
+        k = _row_start(n, lo) + hi - lo - 1
+        return tuple(float(v[k]) for v in self.vectors())
 
     def subset(self, indices) -> "SimilarityTensor":
+        """The tensor of the samples at ``indices``, in that order."""
         idx = np.asarray(indices, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+            raise IndexError(f"subset index out of range for {self.n} samples")
+        if np.unique(idx).size != idx.size:
+            raise ValueError("subset indices must be distinct")
         order = tuple(self.sample_order[i] for i in idx)
-        sub = tuple(np.ascontiguousarray(m[np.ix_(idx, idx)]) for m in self.matrices())
-        return SimilarityTensor(order, *sub)
+        iu, ju = pair_indices(idx.size)
+        a, b = idx[iu], idx[ju]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        k = _row_start(self.n, lo) + hi - lo - 1
+        return SimilarityTensor(order, *(v[k] for v in self.vectors()))
 
-    # Cache format: one JSON header line, then the four float64 matrices as
-    # raw C-order blobs and nothing after them.  Hand-rolled instead of npz
-    # because zip containers embed timestamps and the cache must be
+    # Cache format v2: one JSON header line, then the four float64 condensed
+    # vectors as raw blobs and nothing after them.  Hand-rolled instead of
+    # npz because zip containers embed timestamps and the cache must be
     # byte-stable across runs.
-    FORMAT_VERSION = 1
+    FORMAT_VERSION = 2
 
     def save(self, path) -> None:
         """Write the cache atomically: a reader sees the old file or the new one."""
@@ -288,8 +340,8 @@ class SimilarityTensor:
             with open(tmp, "wb") as fh:
                 fh.write(json.dumps(header, separators=(",", ":")).encode("ascii"))
                 fh.write(b"\n")
-                for m in self.matrices():
-                    fh.write(np.ascontiguousarray(m, dtype=np.float64).tobytes())
+                for v in self.vectors():
+                    fh.write(np.ascontiguousarray(v, dtype=np.float64).tobytes())
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
@@ -297,31 +349,48 @@ class SimilarityTensor:
             raise
 
     @classmethod
+    def _read_header(cls, line: bytes) -> tuple[int, tuple[str, ...]]:
+        """Validate a cache header line; return n and the sample order."""
+        try:
+            header = json.loads(line.decode("ascii"))
+        except ValueError as e:
+            raise ValueError(f"corrupt tensor cache: unreadable header ({e})") from e
+        if not isinstance(header, dict):
+            raise ValueError("corrupt tensor cache: header is not a JSON object")
+        version = header.get("format_version")
+        if version != cls.FORMAT_VERSION:
+            raise CacheVersionError(f"unsupported tensor cache version: {version!r}")
+        n = header.get("n")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"corrupt tensor cache: n must be an int >= 1, got {n!r}")
+        if header.get("features") != list(FEATURES):
+            raise ValueError(f"corrupt tensor cache: features {header.get('features')!r}"
+                             f" != {list(FEATURES)!r}")
+        order = header.get("sample_order")
+        if (not isinstance(order, list) or len(order) != n
+                or not all(isinstance(sid, str) for sid in order)):
+            raise ValueError(f"corrupt tensor cache: sample_order is not {n} strings")
+        return n, tuple(order)
+
+    @classmethod
     def load(cls, path) -> "SimilarityTensor":
         with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode("ascii"))
-            if header.get("format_version") != cls.FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported tensor cache version: {header.get('format_version')!r}")
-            n = int(header["n"])
-            order = tuple(header["sample_order"])
-            if len(order) != n:
-                raise ValueError("corrupt tensor cache: sample_order length mismatch")
-            mats = []
+            n, order = cls._read_header(fh.readline())
+            size = 8 * _row_start(n, n)
+            vecs = []
             for _ in FEATURES:
-                buf = fh.read(n * n * 8)
-                if len(buf) != n * n * 8:
-                    raise ValueError("corrupt tensor cache: truncated matrix block")
-                mats.append(np.frombuffer(buf, dtype=np.float64).reshape(n, n).copy())
+                buf = fh.read(size)
+                if len(buf) != size:
+                    raise ValueError("corrupt tensor cache: truncated feature block")
+                vecs.append(np.frombuffer(buf, dtype=np.float64).copy())
             if fh.read(1):
                 raise ValueError("corrupt tensor cache: trailing bytes after the last block")
-        return cls(order, *mats)
+        return cls(order, *vecs)
 
 
 def _digest_rows(ds: Dataset) -> np.ndarray:
     """Stack every sample's sequence digest into an (n, 32) uint8 array."""
     bits = b"".join(_digest_bits(_serialize_sequence(s.api_sequence)) for s in ds)
-    counters.digest_calls += len(ds)
     return np.frombuffer(bits, dtype=np.uint8).reshape(len(ds), 32)
 
 
@@ -350,15 +419,23 @@ def _pairwise_popcount(rows: np.ndarray, op) -> Iterator[tuple[int, int, np.ndar
         lo = hi
 
 
+def _upper(n: int, lo: int, hi: int) -> tuple[slice, np.ndarray]:
+    """Where block rows lo..hi land in the condensed vector, and the mask.
+
+    The mask selects the entries j > i of a (hi - lo, n - lo) block; in
+    row-major order they are exactly the condensed pairs of rows lo..hi.
+    """
+    mask = np.arange(n - lo) > np.arange(hi - lo)[:, None]
+    return slice(_row_start(n, lo), _row_start(n, hi)), mask
+
+
 def _compare_matrix(digests: np.ndarray) -> np.ndarray:
-    """Pairwise rescaled Nilsimsa scores from stacked (n, 32) uint8 digests."""
+    """Condensed rescaled Nilsimsa scores from stacked (n, 32) uint8 digests."""
     n = digests.shape[0]
-    sim = np.empty((n, n), dtype=np.float64)
+    sim = np.empty(_row_start(n, n), dtype=np.float64)
     for lo, hi, diff in _pairwise_popcount(digests.view(np.uint64), np.bitwise_xor):
-        block = ((128 - diff) / 128.0 + 1.0) / 2.0
-        sim[lo:hi, lo:] = block
-        sim[lo:, lo:hi] = block.T
-    np.fill_diagonal(sim, 1.0)
+        out, mask = _upper(n, lo, hi)
+        sim[out] = ((128 - diff[mask]) / 128.0 + 1.0) / 2.0
     return sim
 
 
@@ -379,26 +456,23 @@ def _incidence_rows(sets: list[frozenset[str]]) -> np.ndarray:
 
 
 def _jaccard_matrix(sets: list[frozenset[str]]) -> np.ndarray:
-    """Pairwise Jaccard over a list of sets via popcounts of packed incidence."""
+    """Condensed pairwise Jaccard via popcounts of packed incidence."""
     n = len(sets)
     rows = _incidence_rows(sets)
     sizes = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
-    sim = np.empty((n, n), dtype=np.float64)
-    for lo, hi, inter in _pairwise_popcount(rows, np.bitwise_and):
-        union = sizes[lo:hi, None] + sizes[None, lo:] - inter
-        block = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
-        sim[lo:hi, lo:] = block
-        sim[lo:, lo:hi] = block.T
-    counters.jaccard_calls += n * (n - 1) // 2
-    np.fill_diagonal(sim, 1.0)
+    sim = np.empty(_row_start(n, n), dtype=np.float64)
+    for lo, hi, counts in _pairwise_popcount(rows, np.bitwise_and):
+        out, mask = _upper(n, lo, hi)
+        inter = counts[mask]
+        union = (sizes[lo:hi, None] + sizes[None, lo:])[mask] - inter
+        sim[out] = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
     return sim
 
 
 def build_similarity_tensor(ds: Dataset) -> SimilarityTensor:
-    """Compute all four pairwise similarity matrices for a dataset."""
+    """Compute all four condensed pairwise similarities for a dataset."""
     if len(ds) == 0:
         raise ValueError("cannot build a similarity tensor from an empty dataset")
-    counters.tensor_builds += 1
     api = _compare_matrix(_digest_rows(ds))
     permission = _jaccard_matrix([s.permissions for s in ds])
     activity = _jaccard_matrix([s.activity_names for s in ds])
@@ -407,7 +481,7 @@ def build_similarity_tensor(ds: Dataset) -> SimilarityTensor:
 
 
 def fused_matrix(t: SimilarityTensor, w: WeightVector) -> np.ndarray:
-    """Weighted fusion of all four matrices.
+    """Weighted fusion of all four features, condensed like the tensor.
 
     Accumulates in fixed feature order so every entry is bit-identical to
     the scalar final_similarity value.
@@ -422,9 +496,6 @@ def fused_matrix(t: SimilarityTensor, w: WeightVector) -> np.ndarray:
 
 def final_similarity(t: SimilarityTensor, w: WeightVector, i: int, j: int) -> float:
     """Fused similarity of one pair: w · (S_api, S_perm, S_act, S_file)."""
-    n = t.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"pair ({i}, {j}) out of range for {n} samples")
     ws = w.as_tuple()
-    return float(ws[0] * t.api[i, j] + ws[1] * t.permission[i, j]
-                 + ws[2] * t.activity[i, j] + ws[3] * t.file[i, j])
+    s = t.pair(i, j)
+    return float(ws[0] * s[0] + ws[1] * s[1] + ws[2] * s[2] + ws[3] * s[3])

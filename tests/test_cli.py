@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
-from simnet import generate_planted, save_dataset
+from simnet import FEATURES, SimilarityTensor, generate_planted, load_dataset, save_dataset
 from simnet.cli import (EXIT_DATA, EXIT_OK, EXIT_PIPELINE, main,
                         parse_threshold, parse_weights)
+from test_similarity import CORRUPT_HEADERS
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +94,20 @@ class TestExitCodes:
         assert rc == EXIT_PIPELINE
         assert "fewer than k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [line for line, _ in CORRUPT_HEADERS.values()],
+                             ids=CORRUPT_HEADERS.keys())
+    @pytest.mark.parametrize("command", ["similarity", "pipeline"])
+    def test_corrupt_cache_header_is_pipeline_error(self, dataset_path, tmp_path,
+                                                    capsys, command, line):
+        cache = tmp_path / "tensor.bin"
+        cache.write_bytes(line + b"\n" + bytes(64))
+        argv = [command, "--dataset", str(dataset_path), "--cache", str(cache)]
+        if command == "pipeline":
+            argv += ["--iterations", "1", "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert "corrupt tensor cache" in err and "Traceback" not in err
+
 
 class TestCommands:
     def test_generate_then_ingest(self, tmp_path, capsys):
@@ -128,6 +144,27 @@ class TestCommands:
         main(["similarity", "--dataset", str(dataset_path),
               "--cache", str(cache)])
         assert capsys.readouterr().out == first
+
+    def test_old_version_cache_is_rebuilt(self, dataset_path, tmp_path, capsys,
+                                          caplog):
+        main(["similarity", "--dataset", str(dataset_path)])
+        fresh = capsys.readouterr().out
+        ds = load_dataset(dataset_path)
+        n = len(ds)
+        header = {"format_version": 1, "n": n, "features": list(FEATURES),
+                  "sample_order": list(ds.ids)}
+        cache = tmp_path / "tensor.bin"
+        # the n×n layout of format 1, with every entry zero
+        cache.write_bytes(json.dumps(header).encode() + b"\n"
+                          + np.zeros(4 * n * n).tobytes())
+        with caplog.at_level("WARNING", logger="simnet.cli"):
+            assert main(["similarity", "--dataset", str(dataset_path),
+                         "--cache", str(cache)]) == EXIT_OK
+        assert capsys.readouterr().out == fresh
+        assert "unsupported tensor cache version: 1" in caplog.text
+        assert "rebuilding" in caplog.text
+        assert SimilarityTensor.load(cache).sample_order == ds.ids
+        assert [p.name for p in tmp_path.iterdir()] == ["tensor.bin"]
 
     def test_cluster_percent_and_fraction_thresholds_agree(self, dataset_path,
                                                            tmp_path):

@@ -7,11 +7,10 @@ from simnet import (SimilarityGraph, SimilarityTensor, WeightVector,
 
 @pytest.fixture
 def three_node_tensor():
-    # same matrix for every feature, so FS equals it under any simplex weights
-    m = np.array([[1.00, 0.95, 0.85],
-                  [0.95, 1.00, 0.40],
-                  [0.85, 0.40, 1.00]])
-    return SimilarityTensor(("x", "y", "z"), m, m.copy(), m.copy(), m.copy())
+    # same pairs (0, 1), (0, 2), (1, 2) for every feature, so FS equals them
+    # under any simplex weights
+    v = np.array([0.95, 0.85, 0.40])
+    return SimilarityTensor(("x", "y", "z"), v, v.copy(), v.copy(), v.copy())
 
 
 class TestBuildGraph:
@@ -26,9 +25,7 @@ class TestBuildGraph:
         assert g.n == 3
 
     def test_threshold_zero_all_ones_is_complete(self):
-        ones = np.ones((4, 4))
-        t = SimilarityTensor(tuple("abcd"), ones, ones.copy(), ones.copy(),
-                             ones.copy())
+        t = SimilarityTensor(tuple("abcd"), *(np.ones(6) for _ in range(4)))
         g = build_graph(t, WeightVector.equal(), 0.0)
         assert g.edge_count == 6
         assert (g.weight == 1.0).all()
@@ -100,13 +97,11 @@ class TestDegreeReport:
         assert degree_report(g).isolated == ("x", "y", "z")
 
     def test_isolates_match_brute_force_over_tensor(self, small_tensor):
-        from simnet import fused_matrix
         w = WeightVector.equal()
         th = 0.9
         g = build_graph(small_tensor, w, th)
-        fs = fused_matrix(small_tensor, w)
-        np.fill_diagonal(fs, 0.0)
-        expected = tuple(small_tensor.sample_order[i]
-                         for i in range(small_tensor.n)
-                         if not (fs[i] > th).any())
+        n = small_tensor.n
+        expected = tuple(small_tensor.sample_order[i] for i in range(n)
+                         if not any(final_similarity(small_tensor, w, i, j) > th
+                                    for j in range(n) if j != i))
         assert degree_report(g).isolated == expected

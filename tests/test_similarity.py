@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import numpy as np
@@ -6,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilsimsa_oracle import ReferenceNilsimsa
-from simnet import (FEATURES, Dataset, NilsimsaDigest, Sample, SimilarityTensor,
-                    WeightVector, api_similarity, build_similarity_tensor,
-                    final_similarity, fused_matrix, generate_planted, jaccard,
-                    nilsimsa_compare, nilsimsa_digest)
+from simnet import (FEATURES, CacheVersionError, Dataset, NilsimsaDigest, Sample,
+                    SimilarityTensor, WeightVector, api_similarity,
+                    build_similarity_tensor, final_similarity, fused_matrix,
+                    generate_planted, jaccard, nilsimsa_compare, nilsimsa_digest)
 from simnet import similarity
 from simnet.similarity import (TRAN, _compare_matrix, _digest_rows, _incidence_rows,
                                _jaccard_matrix, _pairwise_popcount, _score_to_unit,
-                               _serialize_sequence)
+                               _serialize_sequence, pair_indices)
 
 # sha256 over the four float64 matrices of the 16x50 planted tensor
 # (generate_planted(16, 50, 0.10, 7)), recorded from the int32-matmul build.
@@ -227,13 +228,10 @@ class TestWeightVector:
 class TestFinalSimilarity:
     @pytest.fixture
     def tensor(self):
-        mats = [np.array([[1.0, v], [v, 1.0]])
-                for v in (0.8, 0.6, 0.9, 0.5)]
-        return SimilarityTensor(("a", "b"), *mats)
+        return SimilarityTensor(("a", "b"), *(np.array([v]) for v in (0.8, 0.6, 0.9, 0.5)))
 
     def test_all_ones_stay_one(self):
-        ones = np.ones((2, 2))
-        t = SimilarityTensor(("a", "b"), ones, ones.copy(), ones.copy(), ones.copy())
+        t = SimilarityTensor(("a", "b"), *(np.ones(1) for _ in FEATURES))
         # dyadic weights keep the convex combination exact in floats
         assert final_similarity(t, WeightVector(0.5, 0.25, 0.125, 0.125), 0, 1) == 1.0
         assert final_similarity(t, WeightVector(0.4, 0.3, 0.2, 0.1), 0, 1) == \
@@ -260,8 +258,8 @@ class TestFinalSimilarity:
         w2 = WeightVector.from_array(np.array(raw2) / np.sum(raw2))
         mix = WeightVector.from_array(
             alpha * w1.as_array() + (1 - alpha) * w2.as_array())
-        mats = [np.array([[1.0, v], [v, 1.0]]) for v in (0.8, 0.6, 0.9, 0.5)]
-        t = SimilarityTensor(("a", "b"), *mats)
+        vecs = [np.array([v]) for v in (0.8, 0.6, 0.9, 0.5)]
+        t = SimilarityTensor(("a", "b"), *vecs)
         lhs = final_similarity(t, mix, 0, 1)
         rhs = (alpha * final_similarity(t, w1, 0, 1)
                + (1 - alpha) * final_similarity(t, w2, 0, 1))
@@ -303,10 +301,10 @@ class TestTensor:
     def test_entries_match_scalar_operations(self, small_ds, small_tensor):
         for i, a in enumerate(small_ds):
             for j, b in enumerate(small_ds):
-                assert small_tensor.api[i, j] == api_similarity(a, b), (i, j)
-                assert small_tensor.permission[i, j] == jaccard(a.permissions, b.permissions)
-                assert small_tensor.activity[i, j] == jaccard(a.activity_names, b.activity_names)
-                assert small_tensor.file[i, j] == jaccard(a.file_names, b.file_names)
+                assert small_tensor.pair(i, j) == (
+                    api_similarity(a, b), jaccard(a.permissions, b.permissions),
+                    jaccard(a.activity_names, b.activity_names),
+                    jaccard(a.file_names, b.file_names)), (i, j)
 
     def test_planted_16x50_matches_golden(self):
         t = build_similarity_tensor(generate_planted(16, 50, 0.10, 7))
@@ -354,8 +352,8 @@ class TestTensor:
         small_tensor.save(path)
         before = path.read_bytes()
         # the fourth block cannot convert to float64, so the write fails midway
-        bad = np.array([[1.0, "x"], ["x", 1.0]], dtype=object)
-        broken = SimilarityTensor(("a", "b"), np.eye(2), np.eye(2), np.eye(2), bad)
+        bad = np.array(["x"], dtype=object)
+        broken = SimilarityTensor(("a", "b"), np.ones(1), np.ones(1), np.ones(1), bad)
         with pytest.raises(ValueError):
             broken.save(path)
         assert path.read_bytes() == before
@@ -364,23 +362,29 @@ class TestTensor:
     def test_unknown_cache_version_rejected(self, small_tensor, tmp_path):
         path = tmp_path / "t.bin"
         small_tensor.save(path)
-        blob = path.read_bytes().replace(b'"format_version":1', b'"format_version":9', 1)
+        blob = path.read_bytes().replace(b'"format_version":2', b'"format_version":9', 1)
         path.write_bytes(blob)
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(CacheVersionError, match="version"):
             SimilarityTensor.load(path)
 
     def test_fused_matrix_bit_identical_to_scalar(self, small_tensor):
         w = WeightVector(0.3, 0.3, 0.2, 0.2)
         fused = fused_matrix(small_tensor, w)
+        iu, ju = pair_indices(small_tensor.n)
         rng = random.Random(1)
         for _ in range(20):
-            i = rng.randrange(small_tensor.n)
-            j = rng.randrange(small_tensor.n)
-            assert fused[i, j] == final_similarity(small_tensor, w, i, j)
+            k = rng.randrange(fused.size)
+            assert fused[k] == final_similarity(small_tensor, w, iu[k], ju[k])
+            assert fused[k] == final_similarity(small_tensor, w, ju[k], iu[k])
 
 
 def _scalar_jaccard_matrix(sets):
     return np.array([[jaccard(a, b) for b in sets] for a in sets])
+
+
+def _condensed(m):
+    """The condensed pairs of a dense symmetric matrix, in triu_indices order."""
+    return m[np.triu_indices(len(m), 1)]
 
 
 def _random_sets(rng, vocab_size, n):
@@ -396,13 +400,13 @@ class TestPopcountKernel:
     def test_empty_vocabulary(self):
         sets = [frozenset()] * 3
         assert _incidence_rows(sets).shape == (3, 1)
-        assert np.array_equal(_jaccard_matrix(sets), _scalar_jaccard_matrix(sets))
+        assert np.array_equal(_jaccard_matrix(sets), _condensed(_scalar_jaccard_matrix(sets)))
 
     def test_one_set_empty(self):
         sets = [frozenset({"a", "b"}), frozenset(), frozenset({"b", "c"})]
         sim = _jaccard_matrix(sets)
-        assert np.array_equal(sim, _scalar_jaccard_matrix(sets))
-        assert sim[0, 1] == sim[1, 2] == 0.0 and sim[1, 1] == 1.0
+        assert np.array_equal(sim, _condensed(_scalar_jaccard_matrix(sets)))
+        assert sim[0] == sim[2] == 0.0  # pairs (0, 1) and (1, 2)
 
     @pytest.mark.parametrize("vocab_size", [1, 63, 64, 65, 128, 129])
     def test_word_boundary_vocabularies(self, vocab_size):
@@ -410,21 +414,21 @@ class TestPopcountKernel:
         rows = _incidence_rows(sets)
         assert rows.dtype == np.uint64
         assert rows.shape == (12, -(-vocab_size // 64))
-        assert np.array_equal(_jaccard_matrix(sets), _scalar_jaccard_matrix(sets))
+        assert np.array_equal(_jaccard_matrix(sets), _condensed(_scalar_jaccard_matrix(sets)))
 
     def test_single_sample(self):
-        assert _jaccard_matrix([frozenset({"a"})]).tolist() == [[1.0]]
-        assert _jaccard_matrix([frozenset()]).tolist() == [[1.0]]
+        assert _jaccard_matrix([frozenset({"a"})]).shape == (0,)
+        assert _jaccard_matrix([frozenset()]).shape == (0,)
         ds = Dataset((make_sample("only", ["a.b", "c.d", "e.f"]),))
-        assert _compare_matrix(_digest_rows(ds)).tolist() == [[1.0]]
+        assert _compare_matrix(_digest_rows(ds)).shape == (0,)
 
     def test_many_blocks_match_one_block(self, monkeypatch, small_ds):
         sets = _random_sets(random.Random(5), 129, 40)
         digests = _digest_rows(small_ds)
         jac, cmp_ = _jaccard_matrix(sets), _compare_matrix(digests)
         bits = [NilsimsaDigest(row.tobytes()) for row in digests]
-        scalar_cmp = np.array([[_score_to_unit(nilsimsa_compare(a, b)) for b in bits]
-                               for a in bits])
+        scalar_cmp = _condensed(np.array([[_score_to_unit(nilsimsa_compare(a, b)) for b in bits]
+                                      for a in bits]))
         monkeypatch.setattr(similarity, "_BLOCK_BYTES", 1)
         assert len(list(_pairwise_popcount(_incidence_rows(sets), np.bitwise_and))) == 40
         # 624 bytes gives blocks of one row, then of 2-4 rows as n - lo shrinks
@@ -433,8 +437,7 @@ class TestPopcountKernel:
             for blocked, single in ((_jaccard_matrix(sets), jac),
                                     (_compare_matrix(digests), cmp_)):
                 assert np.array_equal(blocked, single)
-                assert np.array_equal(blocked, blocked.T)
-            assert np.array_equal(_jaccard_matrix(sets), _scalar_jaccard_matrix(sets))
+            assert np.array_equal(_jaccard_matrix(sets), _condensed(_scalar_jaccard_matrix(sets)))
             assert np.array_equal(_compare_matrix(digests), scalar_cmp)
 
     @staticmethod
@@ -469,3 +472,142 @@ class TestPopcountKernel:
         rows = rows.reshape(9, 3)
         xor = np.vstack([c for _, _, c in _pairwise_popcount(rows, np.bitwise_xor)])
         assert np.array_equal(xor, self._python_popcounts(rows, int.__xor__))
+
+
+# sha256 of the v2 cache file of generate_planted(2, 3, 0.10, 1): the header
+# line, then each feature's 15 pairs in triu_indices order.  Cross-checked
+# against the upper triangles of the dense matrices of the n×n layout.
+CACHE_2X3_SHA256 = "c344a7a8e61e838fbad2d077d1f42bf62d0d6e0f651cd9c6a7dd5012ce755d5e"
+
+
+def _pairs(n):
+    return n * (n - 1) // 2
+
+
+class TestCondensedLayout:
+    def test_subset_unsorted_equals_dense_ix(self, small_tensor):
+        idx = np.random.default_rng(4).permutation(small_tensor.n)[:30]
+        sub = small_tensor.subset(idx)
+        assert sub.api.shape == (_pairs(30),)
+        for full, part in zip(small_tensor.matrices(), sub.matrices()):
+            assert np.array_equal(part, full[np.ix_(idx, idx)])
+
+    @pytest.mark.parametrize("idx", [[0, 0], [0, 48], [-1, 2]])
+    def test_subset_rejects_repeated_or_out_of_range(self, small_tensor, idx):
+        with pytest.raises((ValueError, IndexError)):
+            small_tensor.subset(idx)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_smallest_tensors(self, tmp_path, n):
+        ds = Dataset(tuple(make_sample(f"s{i}", ["a.b", f"c{i}"], {"p"}, {f"a{i}"})
+                           for i in range(n)))
+        t = build_similarity_tensor(ds)
+        assert all(v.shape == (_pairs(n),) for v in t.vectors())
+        assert t.pair(0, 0) == (1.0, 1.0, 1.0, 1.0)
+        dense = list(t.matrices())
+        assert all(m.shape == (n, n) and (np.diag(m) == 1.0).all() for m in dense)
+        if n == 2:
+            assert t.pair(0, 1) == t.pair(1, 0) == tuple(m[0, 1] for m in dense)
+            assert t.activity[0] == 0.0 and t.permission[0] == 1.0
+        path = tmp_path / "t.bin"
+        t.save(path)
+        back = SimilarityTensor.load(path)
+        assert all(np.array_equal(a, b) for a, b in zip(t.vectors(), back.vectors()))
+        assert fused_matrix(t, WeightVector.equal()).shape == (_pairs(n),)
+
+    def test_wrong_vector_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            SimilarityTensor(("a", "b", "c"), *[np.ones(2)] * 4)
+
+    @pytest.mark.parametrize("block_bytes", [1, 624])
+    def test_kernel_condensed_equals_dense_reference(self, monkeypatch, small_ds,
+                                                     block_bytes):
+        monkeypatch.setattr(similarity, "_BLOCK_BYTES", block_bytes)
+        t = build_similarity_tensor(small_ds)
+        bits = [nilsimsa_digest(_serialize_sequence(s.api_sequence)) for s in small_ds]
+        api = np.array([[_score_to_unit(nilsimsa_compare(a, b)) for b in bits]
+                        for a in bits])
+        assert np.array_equal(t.api, _condensed(api))
+        set_features = ([s.permissions for s in small_ds],
+                        [s.activity_names for s in small_ds],
+                        [s.file_names for s in small_ds])
+        for name, v, sets in zip(FEATURES[1:], t.vectors()[1:], set_features):
+            assert np.array_equal(v, _condensed(_scalar_jaccard_matrix(sets))), name
+
+    def test_matrices_reiterable_and_dense(self, small_tensor):
+        mats = small_tensor.matrices()
+        assert len(mats) == len(FEATURES)
+        first, second = list(mats), list(mats)
+        assert len(first) == len(second) == 4
+        for a, b in zip(first, second):
+            assert a is not b and np.array_equal(a, b)
+            assert a.flags.c_contiguous and a.dtype == np.float64
+            assert np.array_equal(a, a.T) and (np.diag(a) == 1.0).all()
+        assert np.array_equal(mats[1], first[1])
+
+    def test_cache_is_header_plus_four_condensed_blocks(self, small_tensor, tmp_path):
+        path = tmp_path / "t.bin"
+        small_tensor.save(path)
+        blob = path.read_bytes()
+        header = blob.split(b"\n", 1)[0]
+        assert json.loads(header)["format_version"] == 2
+        assert len(blob) == len(header) + 1 + 32 * _pairs(small_tensor.n)
+
+    def test_small_cache_file_matches_golden(self, tmp_path):
+        path = tmp_path / "t.bin"
+        build_similarity_tensor(generate_planted(2, 3, 0.10, 1)).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_2X3_SHA256
+
+
+_DROP = object()
+
+
+def _header(**fields):
+    base = {"format_version": 2, "n": 2, "features": list(FEATURES),
+            "sample_order": ["a", "b"]}
+    base.update(fields)
+    return json.dumps({k: v for k, v in base.items() if v is not _DROP}).encode()
+
+# Header lines that must be reported as a corrupt cache, never as a
+# traceback, with the part of the message that names the problem.
+CORRUPT_HEADERS = {
+    "list": (b"[]", "not a JSON object"),
+    "string": (b'"v2"', "not a JSON object"),
+    "not-json": (b"{not json", "unreadable header"),
+    "not-ascii": ('{"n": "é"}'.encode("utf-8"), "unreadable header"),
+    "no-n": (_header(n=_DROP), "n must be"),
+    "n-string": (_header(n="2"), "n must be"),
+    "n-float": (_header(n=2.0), "n must be"),
+    "n-bool": (_header(n=True, sample_order=["a"]), "n must be"),
+    "n-zero": (_header(n=0, sample_order=[]), "n must be"),
+    "no-features": (_header(features=_DROP), "features"),
+    "features-reordered": (_header(features=list(reversed(FEATURES))), "features"),
+    "order-short": (_header(sample_order=["a"]), "sample_order"),
+    "order-not-strings": (_header(sample_order=["a", 2]), "sample_order"),
+    "order-not-list": (_header(sample_order="ab"), "sample_order"),
+}
+
+
+class TestCacheHeader:
+    @pytest.mark.parametrize("line, problem", CORRUPT_HEADERS.values(),
+                             ids=CORRUPT_HEADERS.keys())
+    def test_corrupt_header_rejected(self, tmp_path, line, problem):
+        path = tmp_path / "t.bin"
+        path.write_bytes(line + b"\n" + bytes(32))
+        with pytest.raises(ValueError, match="corrupt tensor cache") as info:
+            SimilarityTensor.load(path)
+        assert problem in str(info.value)
+        assert not isinstance(info.value, CacheVersionError)
+
+    @pytest.mark.parametrize("version", [None, 1, "2", 3])
+    def test_other_versions_are_version_errors(self, tmp_path, version):
+        path = tmp_path / "t.bin"
+        path.write_bytes(_header(format_version=version) + b"\n" + bytes(32))
+        with pytest.raises(CacheVersionError, match="unsupported tensor cache version"):
+            SimilarityTensor.load(path)
+
+    def test_valid_header_loads(self, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(_header() + b"\n" + np.full(4, 0.5).tobytes())
+        t = SimilarityTensor.load(path)
+        assert t.sample_order == ("a", "b") and t.pair(1, 0) == (0.5,) * 4
