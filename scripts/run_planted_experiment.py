@@ -14,6 +14,7 @@ from pathlib import Path
 from simnet import (OptimizerConfig, build_similarity_tensor, classify,
                     derive_seed, generate_planted, kfold_crossval,
                     optimize_weights, save_dataset)
+from simnet.evaluation import CLASSIFY_SALT
 
 
 def parse_args():
@@ -57,7 +58,7 @@ def main():
         f"{k}={v:.4f}" for k, v in trace.best_weights.as_dict().items()))
 
     report = classify(tensor, ds, trace.best_weights, args.threshold,
-                      derive_seed(args.seed, 5))
+                      derive_seed(args.seed, CLASSIFY_SALT))
     print(f"classify accuracy {report.accuracy:.4f}  "
           f"modularity {report.modularity:.4f}  "
           f"unlabeled {report.unlabeled_count}  "

@@ -13,6 +13,7 @@ import argparse
 from simnet import (OptimizerConfig, build_similarity_tensor, classify,
                     derive_seed, generate_planted, optimize_weights,
                     threshold_sweep, unlabeled_report)
+from simnet.evaluation import CLASSIFY_SALT
 
 
 def parse_args():
@@ -41,7 +42,7 @@ def main():
 
     # rescore each point's learned weights to attribute its errors
     reports = [classify(tensor, ds, pt.best_weights, pt.threshold,
-                        derive_seed(args.seed, 5))
+                        derive_seed(args.seed, CLASSIFY_SALT))
                for pt in sweep.points]
     isolated_everywhere = set(reports[0].no_connection_ids)
     for rep in reports[1:]:

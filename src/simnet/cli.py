@@ -13,11 +13,11 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .community import Partition, label_communities, louvain
+from .community import Partition, cluster
 from .dataset import Dataset, DatasetError, generate_planted, load_dataset, save_dataset
-from .evaluation import (ClusteringReport, classify, kfold_crossval,
+from .evaluation import (CLASSIFY_SALT, ClusteringReport, kfold_crossval,
                          report_from_partition)
-from .netgraph import SimilarityGraph, build_graph
+from .netgraph import SimilarityGraph
 from .optimizer import (OptimizerConfig, OptimizerTrace, derive_seed,
                         optimize_weights, threshold_sweep)
 from .similarity import (FEATURES, CacheVersionError, SimilarityTensor,
@@ -29,8 +29,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PIPELINE = 3
-
-_CLASSIFY_SALT = 5  # final-classification Louvain seed, distinct from fold salts
 
 
 class PipelineError(Exception):
@@ -160,6 +158,11 @@ def _report_text(report: ClusteringReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _classify_cluster(t, ds, w, threshold, seed):
+    """cluster/export/pipeline's clustering: one Louvain seed for all three."""
+    return cluster(t, ds, w, threshold, derive_seed(seed, CLASSIFY_SALT))
+
+
 def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
@@ -174,9 +177,10 @@ def cmd_export_graph(g: SimilarityGraph, p: Partition, ds: Dataset,
     """
     path = Path(path)
     deg = g.degrees()
+    labels = p.community_labels
     nodes = []
     for i, nid in enumerate(g.node_ids):
-        lab = p.community_labels[int(p.membership[i])]
+        lab = labels[int(p.membership[i])]
         nodes.append({
             "id": nid,
             "family": ds[nid].family,
@@ -261,7 +265,8 @@ def cmd_similarity(args) -> int:
 def cmd_cluster(args) -> int:
     ds = _load(args)
     t = _tensor(ds, args.cache)
-    report = classify(t, ds, args.weights, args.threshold / 100.0, args.seed)
+    g, p = _classify_cluster(t, ds, args.weights, args.threshold / 100.0, args.seed)
+    report = report_from_partition(g, p, ds)
     print(_report_text(report), end="")
     if args.out:
         out_dir = Path(args.out)
@@ -335,8 +340,7 @@ def cmd_crossval(args) -> int:
 def cmd_export(args) -> int:
     ds = _load(args)
     t = _tensor(ds, args.cache)
-    g = build_graph(t, args.weights, args.threshold / 100.0)
-    p = label_communities(louvain(g, args.seed), ds, voters=ds.labeled_ids)
+    g, p = _classify_cluster(t, ds, args.weights, args.threshold / 100.0, args.seed)
     accuracy = None
     if ds.labeled_ids:
         accuracy = report_from_partition(g, p, ds).accuracy
@@ -379,9 +383,7 @@ def run_pipeline(cfg: RunConfig) -> int:
         raise PipelineError("optimize", str(e)) from e
 
     try:
-        g = build_graph(t, trace.best_weights, cfg.threshold)
-        p = label_communities(louvain(g, derive_seed(cfg.seed, _CLASSIFY_SALT)),
-                              ds, voters=ds.labeled_ids)
+        g, p = _classify_cluster(t, ds, trace.best_weights, cfg.threshold, cfg.seed)
         report = report_from_partition(g, p, ds)
     except ValueError as e:
         raise PipelineError("classify", str(e)) from e

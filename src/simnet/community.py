@@ -28,7 +28,8 @@ except ImportError:  # plain-python fallback: same kernel body, on lists
         return lambda f: f
 
 from .dataset import Dataset
-from .netgraph import SimilarityGraph
+from .netgraph import SimilarityGraph, build_graph
+from .similarity import SimilarityTensor, WeightVector
 
 
 class ModularityUndefinedError(ValueError):
@@ -55,9 +56,16 @@ class Partition:
     node_ids: tuple[str, ...]
     membership: np.ndarray     # community id per node, aligned with node_ids
     modularity: float
-    community_labels: dict[int, str | None]
+    label_codes: np.ndarray    # index into families per community; -1 = Unlabeled
     level_count: int
+    families: tuple[str, ...] = ()
     trace: tuple[LevelTrace, ...] | None = field(default=None, repr=False)
+
+    @property
+    def community_labels(self) -> dict[int, str | None]:
+        """Community id -> family name, None where Unlabeled."""
+        return {c: (self.families[code] if code >= 0 else None)
+                for c, code in enumerate(self.label_codes.tolist())}
 
     @property
     def assignment(self) -> dict[str, int]:
@@ -254,7 +262,7 @@ def louvain(g: SimilarityGraph, seed: int, track: bool = False) -> Partition:
         raise ValueError("graph has no nodes")
     if g.edge_count == 0:
         return Partition(g.node_ids, np.arange(n, dtype=np.int64), 0.0,
-                         {c: None for c in range(n)}, 0,
+                         np.full(n, -1, dtype=np.int64), 0,
                          trace=() if track else None)
 
     rng = np.random.default_rng(seed % (2 ** 64))
@@ -283,9 +291,9 @@ def louvain(g: SimilarityGraph, seed: int, track: bool = False) -> Partition:
 
     membership = _canonical(membership)
     q = _q_arrays(n, g.src, g.dst, g.weight, None, membership)
-    labels: dict[int, str | None] = {c: None for c in range(int(membership.max()) + 1)}
-    return Partition(g.node_ids, membership, q, labels, level_count,
-                     trace=tuple(levels) if track else None)
+    return Partition(g.node_ids, membership, q,
+                     np.full(int(membership.max()) + 1, -1, dtype=np.int64),
+                     level_count, trace=tuple(levels) if track else None)
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +326,25 @@ def label_communities(p: Partition, ds: Dataset, voters: Iterable[str]) -> Parti
     """Label each community with the plurality family among its voters.
 
     Singleton communities and communities with no voters stay unlabeled
-    (None); plurality ties break to the lexicographically smallest family.
+    (code -1); plurality ties break to the lexicographically smallest
+    family.  KeyError for a voter not in the dataset.
     """
-    voter_set = set(voters)
-    unknown = voter_set.difference(ds.ids)
-    if unknown:
-        raise KeyError(f"voters not in dataset: {sorted(unknown)[:5]}")
-    families = ds.families
-    node_codes = ds.family_codes[ds.indices_of(p.node_ids)]
-    voter_mask = np.fromiter((nid in voter_set for nid in p.node_ids), dtype=bool,
-                             count=len(p.node_ids))
+    rows = ds.indices_of(p.node_ids)
+    is_voter = np.zeros(len(ds), dtype=bool)
+    is_voter[ds.indices_of(voters)] = True
     n_comms = p.n_communities
     sizes = np.bincount(p.membership, minlength=n_comms)
-    codes = plurality_label_codes(p.membership, sizes, node_codes, voter_mask, n_comms)
-    labels = {c: (families[code] if code >= 0 else None)
-              for c, code in enumerate(codes.tolist())}
-    return replace(p, community_labels=labels)
+    codes = plurality_label_codes(p.membership, sizes, ds.family_codes[rows],
+                                  is_voter[rows], n_comms)
+    return replace(p, label_codes=codes, families=ds.families)
+
+
+def cluster(t: SimilarityTensor, ds: Dataset, w: WeightVector, threshold: float,
+            seed: int, voters: Iterable[str] | None = None,
+            ) -> tuple[SimilarityGraph, Partition]:
+    """build_graph → louvain → label_communities; voters default to the labeled."""
+    if t.sample_order != ds.ids:
+        raise ValueError("tensor sample_order does not match dataset order")
+    g = build_graph(t, w, threshold)
+    voters = ds.labeled_ids if voters is None else voters
+    return g, label_communities(louvain(g, seed), ds, voters)

@@ -96,9 +96,6 @@ class Dataset:
     def __getitem__(self, sample_id: str) -> Sample:
         return self.samples[self._index[sample_id]]
 
-    def index_of(self, sample_id: str) -> int:
-        return self._index[sample_id]
-
     def indices_of(self, sample_ids) -> np.ndarray:
         """int64 row index of each id, in order; KeyError for an unknown id."""
         return np.fromiter(map(self._index.__getitem__, sample_ids), dtype=np.int64)

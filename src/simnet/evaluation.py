@@ -6,18 +6,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .community import Partition, label_communities, louvain
+from .community import Partition, cluster
 from .dataset import Dataset
-from .netgraph import SimilarityGraph, build_graph, degree_report
+from .netgraph import SimilarityGraph, degree_report
 from .optimizer import (NoLabeledSamplesError, OptimizerConfig, derive_seed,
                         optimize_weights)
 from .similarity import SimilarityTensor, WeightVector, build_similarity_tensor
 
 UNLABELED = "Unlabeled"
 
-# salts for derive_seed so the folds, the per-fold searches, and the
-# per-fold prediction clusterings all draw from disjoint seed streams
+# salts for derive_seed so the folds, the per-fold searches and predictions,
+# and the final classification after a search draw from disjoint seed streams
 _OPT_SALT, _PRED_SALT, _STRAT_SALT = 1, 2, 3
+CLASSIFY_SALT = 5
 
 
 class StratificationError(ValueError):
@@ -60,46 +61,42 @@ class ClusteringReport:
 
 def report_from_partition(g: SimilarityGraph, p: Partition,
                           ds: Dataset) -> ClusteringReport:
-    """Score an already-labeled partition against ground truth."""
+    """Score a labeled partition of ``ds``'s samples, in ``ds`` order, against ground truth."""
     labeled = ds.labeled_ids
     if not labeled:
         raise NoLabeledSamplesError("dataset has no labeled samples")
+    if p.node_ids != ds.ids:
+        raise ValueError("partition node_ids do not match dataset order")
+    if p.families != ds.families and (p.label_codes >= 0).any():
+        raise ValueError("partition families do not match dataset families")
     families = ds.families
     columns = families + (UNLABELED,)
-    col_idx = {c: j for j, c in enumerate(columns)}
-    row_idx = {f: i for i, f in enumerate(families)}
-    confusion = np.zeros((len(families), len(columns)), dtype=np.int64)
-    predictions: dict[str, str] = {}
-    error_ids = []
-    for nid in labeled:
-        fam = ds[nid].family
-        lab = p.community_labels[int(p.membership[ds.index_of(nid)])]
-        pred = lab if lab is not None else UNLABELED
-        predictions[nid] = pred
-        confusion[row_idx[fam], col_idx[pred]] += 1
-        if pred != fam:
-            error_ids.append(nid)
-    correct = int(sum(confusion[i, col_idx[f]] for i, f in enumerate(families)))
+    n_fams = len(families)
+    rows = np.flatnonzero(ds.family_codes >= 0)
+    truth = ds.family_codes[rows]
+    pred = p.label_codes[p.membership[rows]]
+    col = np.where(pred >= 0, pred, n_fams)      # Unlabeled is the last column
+    confusion = np.bincount(truth * (n_fams + 1) + col,
+                            minlength=n_fams * (n_fams + 1)).reshape(n_fams, n_fams + 1)
     return ClusteringReport(
-        accuracy=correct / len(labeled),
+        accuracy=int(np.trace(confusion)) / len(labeled),
         families=families,
         columns=columns,
         confusion=confusion,
-        unlabeled_count=int(confusion[:, col_idx[UNLABELED]].sum()),
+        unlabeled_count=int(confusion[:, n_fams].sum()),
         no_connection_ids=degree_report(g).isolated,
         modularity=p.modularity,
         weights=g.weights_used,
         threshold=g.threshold,
-        predictions=predictions,
-        error_ids=tuple(error_ids),
+        predictions={nid: columns[c] for nid, c in zip(labeled, col.tolist())},
+        error_ids=tuple(labeled[i] for i in np.flatnonzero(truth != col)),
     )
 
 
 def classify(t: SimilarityTensor, ds: Dataset, w: WeightVector,
              threshold: float, seed: int) -> ClusteringReport:
     """Full pipeline on one weight vector: graph, Louvain, labels, report."""
-    g = build_graph(t, w, threshold)
-    p = label_communities(louvain(g, seed), ds, voters=ds.labeled_ids)
+    g, p = cluster(t, ds, w, threshold, seed)
     return report_from_partition(g, p, ds)
 
 
@@ -131,10 +128,10 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> tuple[tuple[str, ...], .
             raise StratificationError(fam, count, k)
     rng = np.random.default_rng(derive_seed(seed, _STRAT_SALT))
     folds: list[list[str]] = [[] for _ in range(k)]
-    for fam in ds.families:
-        ids = [sid for sid in ds.labeled_ids if ds[sid].family == fam]
-        for pos, idx in enumerate(rng.permutation(len(ids))):
-            folds[pos % k].append(ids[idx])
+    for code in range(len(ds.families)):
+        rows = np.flatnonzero(ds.family_codes == code)
+        for pos, idx in enumerate(rng.permutation(len(rows))):
+            folds[pos % k].append(ds.ids[rows[idx]])
     return tuple(tuple(f) for f in folds)
 
 
@@ -154,26 +151,21 @@ def kfold_crossval(ds: Dataset, k: int, cfg: OptimizerConfig,
         raise ValueError("tensor sample_order does not match dataset order")
     per_fold = []
     for f, test_ids in enumerate(folds):
-        test_set = set(test_ids)
-        train_idx = [i for i, sid in enumerate(ds.ids) if sid not in test_set]
+        rows = ds.indices_of(test_ids)
+        train_idx = np.setdiff1d(np.arange(len(ds)), rows)
         sub_ds = ds.subset(ds.ids[i] for i in train_idx)
         sub_t = tensor.subset(train_idx)
         fold_cfg = replace(cfg, seed=derive_seed(cfg.seed, _OPT_SALT, f))
         trace = optimize_weights(sub_t, sub_ds, fold_cfg)
 
-        g = build_graph(tensor, trace.best_weights, cfg.threshold)
-        p = louvain(g, derive_seed(cfg.seed, _PRED_SALT, f))
-        voters = tuple(sid for sid in ds.labeled_ids if sid not in test_set)
-        p = label_communities(p, ds, voters)
-        correct = 0
-        for sid in test_ids:
-            lab = p.community_labels[int(p.membership[ds.index_of(sid)])]
-            if lab == ds[sid].family:
-                correct += 1
+        _, p = cluster(tensor, ds, trace.best_weights, cfg.threshold,
+                       derive_seed(cfg.seed, _PRED_SALT, f), sub_ds.labeled_ids)
+        correct = np.count_nonzero(p.label_codes[p.membership[rows]]
+                                   == ds.family_codes[rows])
         per_fold.append(FoldResult(
             fold=f,
             classification_accuracy=1.0 - trace.best_error,
-            prediction_accuracy=correct / len(test_ids),
+            prediction_accuracy=int(correct) / len(test_ids),
             weights=trace.best_weights,
         ))
     mean = sum(r.prediction_accuracy for r in per_fold) / k

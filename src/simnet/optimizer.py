@@ -13,9 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .community import label_communities, louvain
+from .community import cluster
 from .dataset import Dataset
-from .netgraph import build_graph
 from .similarity import SimilarityTensor, WeightVector
 
 
@@ -68,19 +67,14 @@ def clustering_error(t: SimilarityTensor, ds: Dataset, w: WeightVector,
     Members of Unlabeled (singleton or voter-free) communities count as
     wrong.
     """
-    if t.sample_order != ds.ids:
-        raise ValueError("tensor sample_order does not match dataset order")
     labeled = ds.labeled_ids
     if not labeled:
         raise NoLabeledSamplesError("dataset has no labeled samples")
-    g = build_graph(t, w, threshold)
-    p = label_communities(louvain(g, seed), ds, voters=labeled)
-    correct = 0
-    for nid in labeled:
-        lab = p.community_labels[int(p.membership[ds.index_of(nid)])]
-        if lab == ds[nid].family:
-            correct += 1
-    return 1.0 - correct / len(labeled)
+    _, p = cluster(t, ds, w, threshold, seed)
+    rows = ds.family_codes >= 0
+    correct = np.count_nonzero(p.label_codes[p.membership[rows]]
+                               == ds.family_codes[rows])
+    return 1.0 - int(correct) / len(labeled)
 
 
 def propose_weights(rng: np.random.Generator, base: WeightVector,

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from simnet import FEATURES, SimilarityTensor, generate_planted, load_dataset, save_dataset
+from simnet import (FEATURES, SimilarityTensor, WeightVector,
+                    build_similarity_tensor, classify, derive_seed,
+                    generate_planted, load_dataset, save_dataset)
 from simnet.cli import (EXIT_DATA, EXIT_OK, EXIT_PIPELINE, main,
                         parse_threshold, parse_weights)
 from test_similarity import CORRUPT_HEADERS
@@ -13,6 +15,15 @@ from test_similarity import CORRUPT_HEADERS
 def dataset_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "planted.jsonl"
     save_dataset(generate_planted(3, 8, 0.05, seed=1), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def seed_sensitive_path(tmp_path_factory):
+    """A noisy corpus whose 85% api-only graph partitions differently under
+    different Louvain seeds."""
+    path = tmp_path_factory.mktemp("noisy") / "planted.jsonl"
+    save_dataset(generate_planted(4, 10, 0.3, 2), path)
     return path
 
 
@@ -284,3 +295,43 @@ class TestPipeline:
         rc = main(["pipeline", "--dataset", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "run")])
         assert rc == EXIT_DATA
+
+
+class TestClassifySeed:
+    def test_cluster_and_export_score_at_the_classify_seed(
+            self, seed_sensitive_path, tmp_path):
+        args = ["--dataset", str(seed_sensitive_path), "--weights", "1,0,0,0",
+                "--threshold", "85", "--seed", "0"]
+        assert main(["cluster", *args, "--out", str(tmp_path)]) == EXIT_OK
+        graph = tmp_path / "graph.json"
+        assert main(["export", *args, "--out", str(graph)]) == EXIT_OK
+        ds = load_dataset(seed_sensitive_path)
+        # the literal 5 pins the classify salt
+        want = classify(build_similarity_tensor(ds), ds,
+                        WeightVector(1.0, 0.0, 0.0, 0.0), 0.85,
+                        derive_seed(0, 5))
+        assert want.accuracy == 0.675
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["accuracy"] == want.accuracy
+        assert report["confusion"] == want.confusion_dict()
+        assert json.loads(graph.read_text())["meta"]["accuracy"] == want.accuracy
+
+    def test_cluster_and_export_reproduce_pipeline_artifacts(
+            self, seed_sensitive_path, tmp_path):
+        common = ["--dataset", str(seed_sensitive_path), "--threshold", "85",
+                  "--seed", "4"]
+        run = tmp_path / "run"
+        # a full-step search lands on a seed-sensitive api-only graph
+        assert main(["pipeline", *common, "--iterations", "10", "--lr", "1.0",
+                     "--out", str(run)]) == EXIT_OK
+        learned = json.loads((run / "report.json").read_text())["weights"]
+        weights = ",".join(repr(learned[name]) for name in FEATURES)
+        assert main(["cluster", *common, "--weights", weights,
+                     "--out", str(tmp_path / "cluster")]) == EXIT_OK
+        assert main(["export", *common, "--weights", weights,
+                     "--out", str(tmp_path / "graph.json")]) == EXIT_OK
+        assert ((tmp_path / "cluster" / "report.json").read_bytes()
+                == (run / "report.json").read_bytes())
+        for name in ("graph.json", "graph.dot"):
+            assert ((tmp_path / name).read_bytes()
+                    == (run / name).read_bytes()), name

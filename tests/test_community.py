@@ -1,9 +1,10 @@
 import hashlib
 import struct
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simnet import (Dataset, ModularityUndefinedError, Sample,
                     SimilarityGraph, label_communities, louvain, modularity)
@@ -314,11 +315,27 @@ def _mk_sample(sid, family):
                   file_names=frozenset())
 
 
+def reference_labels(p, ds, voters):
+    """Plurality labels by family name, one community at a time."""
+    voter_set = set(voters)
+    members = p.communities()
+    out = {}
+    for c in range(p.n_communities):
+        votes = Counter(ds[nid].family for nid in members.get(c, ())
+                        if nid in voter_set and ds[nid].family is not None)
+        if len(members.get(c, ())) <= 1 or not votes:
+            out[c] = None
+        else:
+            top = max(votes.values())
+            out[c] = min(fam for fam, n in votes.items() if n == top)
+    return out
+
+
 def _mk_partition(node_ids, membership):
     memb = np.asarray(membership, dtype=np.int64)
     n_comms = int(memb.max()) + 1
     return Partition(tuple(node_ids), memb, 0.0,
-                     {c: None for c in range(n_comms)}, 1)
+                     np.full(n_comms, -1, dtype=np.int64), 1)
 
 
 class TestLabelCommunities:
@@ -356,6 +373,19 @@ class TestLabelCommunities:
         p = _mk_partition([s.id for s in ds.samples], [0] * 5 + [1, 0, 1])
         out = label_communities(p, ds, voters=ds.ids)
         assert out.community_labels[1] == "clicker"
+
+    @given(rows=st.lists(st.tuples(st.sampled_from([None, "adware", "botnet", "clicker"]),
+                                   st.integers(0, 7), st.booleans()),
+                         min_size=1, max_size=16))
+    @settings(max_examples=80, deadline=None)
+    def test_random_memberships_match_name_reference(self, rows):
+        # None families never vote; memberships leave singletons and empty ids
+        ds = Dataset(tuple(_mk_sample(f"s{i}", fam) for i, (fam, _, _) in enumerate(rows)))
+        p = _mk_partition(ds.ids, [c for _, c, _ in rows])
+        voters = [sid for sid, (_, _, v) in zip(ds.ids, rows) if v]
+        out = label_communities(p, ds, voters)
+        assert out.families == ds.families
+        assert out.community_labels == reference_labels(p, ds, voters)
 
     def test_unknown_voter_raises_keyerror(self, ds):
         p = _mk_partition([s.id for s in ds.samples], [0] * 8)

@@ -1,10 +1,17 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import simnet.community
 from simnet import (Dataset, OptimizerConfig, Sample, StratificationError,
-                    WeightVector, build_similarity_tensor, classify,
-                    clustering_error, generate_planted, kfold_crossval,
-                    stratified_folds, unlabeled_report)
+                    WeightVector, build_graph, build_similarity_tensor,
+                    classify, clustering_error, generate_planted,
+                    kfold_crossval, label_communities, louvain,
+                    report_from_partition, stratified_folds, unlabeled_report)
+from simnet.community import Partition
 from simnet.evaluation import UNLABELED
 
 
@@ -36,6 +43,47 @@ def odd_report():
     ds = Dataset(tuple(rows))
     t = build_similarity_tensor(ds)
     return ds, classify(t, ds, WeightVector.equal(), 0.8, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# name-based reference scorers: one sample at a time, through family names
+# ---------------------------------------------------------------------------
+
+def reference_correct(p, ds, sample_ids):
+    row = {nid: i for i, nid in enumerate(p.node_ids)}
+    labels = p.community_labels
+    correct = 0
+    for nid in sample_ids:
+        lab = labels[int(p.membership[row[nid]])]
+        if lab == ds[nid].family:
+            correct += 1
+    return correct
+
+
+def reference_report(p, ds):
+    families = ds.families
+    columns = families + (UNLABELED,)
+    col_idx = {c: j for j, c in enumerate(columns)}
+    row_idx = {f: i for i, f in enumerate(families)}
+    confusion = np.zeros((len(families), len(columns)), dtype=np.int64)
+    row = {nid: i for i, nid in enumerate(p.node_ids)}
+    labels = p.community_labels
+    predictions, error_ids = {}, []
+    for nid in ds.labeled_ids:
+        fam = ds[nid].family
+        lab = labels[int(p.membership[row[nid]])]
+        pred = lab if lab is not None else UNLABELED
+        predictions[nid] = pred
+        confusion[row_idx[fam], col_idx[pred]] += 1
+        if pred != fam:
+            error_ids.append(nid)
+    return confusion, predictions, tuple(error_ids)
+
+
+@pytest.fixture(scope="module")
+def parity_base():
+    ds = generate_planted(3, 6, 0.10, seed=4)
+    return ds, build_similarity_tensor(ds)
 
 
 class TestClassify:
@@ -86,6 +134,69 @@ class TestClassify:
             err = clustering_error(planted_tensor, planted_ds,
                                    WeightVector.equal(), th, seed=5)
             assert rep.accuracy + err == 1.0
+
+    def test_report_rejects_partition_out_of_dataset_order(self, clean_ds):
+        ds, t = clean_ds
+        g = build_graph(t, WeightVector.equal(), 0.9)
+        p = label_communities(louvain(g, 0), ds, ds.labeled_ids)
+        assert report_from_partition(g, p, ds).accuracy == 1.0
+        with pytest.raises(ValueError, match="dataset order"):
+            report_from_partition(g, p, Dataset(tuple(reversed(ds.samples))))
+
+    def test_report_rejects_partition_labeled_with_other_families(self, clean_ds):
+        ds, t = clean_ds
+        g = build_graph(t, WeightVector.equal(), 0.9)
+        p = label_communities(louvain(g, 0), ds, ds.labeled_ids)
+        renamed = Dataset(tuple(replace(s, family="x" + s.family)
+                                for s in ds.samples))
+        with pytest.raises(ValueError, match="families"):
+            report_from_partition(g, p, renamed)
+
+    @given(rows=st.lists(st.tuples(st.sampled_from([None, "famA", "famB", "famC"]),
+                                   st.integers(0, 9), st.booleans()),
+                         min_size=18, max_size=18))
+    @settings(max_examples=40, deadline=None)
+    def test_scorers_match_name_based_reference(self, parity_base, rows):
+        """Random memberships stand in for Louvain; every scorer must agree
+        with the name-based loops: unlabeled samples, singletons, empty
+        community ids and voter subsets included."""
+        base, t = parity_base
+        ds = Dataset(tuple(replace(s, family=fam)
+                           for s, (fam, _, _) in zip(base.samples, rows)))
+        census = ds.label_census()
+        assume(census and min(census.values()) >= 2)
+        comm = dict(zip(ds.ids, (c for _, c, _ in rows)))
+
+        def fixed_louvain(g, seed):
+            memb = np.array([comm[nid] for nid in g.node_ids], dtype=np.int64)
+            return Partition(g.node_ids, memb, 0.0,
+                             np.full(int(memb.max()) + 1, -1, dtype=np.int64), 1)
+
+        g = build_graph(t, WeightVector.equal(), 0.9)
+        subset = [sid for sid, (_, _, v) in zip(ds.ids, rows) if v]
+        cfg = OptimizerConfig(iterations=1, threshold=0.9, seed=0)
+        with mock.patch.object(simnet.community, "louvain", fixed_louvain):
+            for voters in (ds.labeled_ids, subset):
+                p = label_communities(fixed_louvain(g, 0), ds, voters)
+                rep = report_from_partition(g, p, ds)
+                confusion, predictions, error_ids = reference_report(p, ds)
+                assert np.array_equal(rep.confusion, confusion)
+                assert rep.predictions == predictions
+                assert rep.error_ids == error_ids
+                assert rep.unlabeled_count == int(confusion[:, -1].sum())
+                assert rep.accuracy == (reference_correct(p, ds, ds.labeled_ids)
+                                        / len(ds.labeled_ids))
+
+            p = label_communities(fixed_louvain(g, 0), ds, ds.labeled_ids)
+            want = 1.0 - reference_correct(p, ds, ds.labeled_ids) / len(ds.labeled_ids)
+            assert clustering_error(t, ds, WeightVector.equal(), 0.9, 0) == want
+
+            cv = kfold_crossval(ds, 2, cfg, tensor=t)
+            for fold, test_ids in zip(cv.per_fold, stratified_folds(ds, 2, cfg.seed)):
+                voters = [sid for sid in ds.labeled_ids if sid not in test_ids]
+                p = label_communities(fixed_louvain(g, 0), ds, voters)
+                assert fold.prediction_accuracy == (
+                    reference_correct(p, ds, test_ids) / len(test_ids))
 
     def test_report_echoes_run_parameters(self, clean_ds):
         ds, t = clean_ds
