@@ -10,7 +10,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .community import Partition, cluster
@@ -37,30 +36,6 @@ class PipelineError(Exception):
     def __init__(self, stage: str, reason: str):
         self.stage = stage
         super().__init__(f"{stage}: {reason}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs of a full pipeline run."""
-
-    dataset_path: Path
-    threshold_percent: float = 90.0
-    iterations: int = 1000
-    learning_rate: float = 0.05
-    seed: int = 0
-    output_dir: Path = Path(".")
-    cache_path: Path | None = None
-    skip_invalid: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.threshold_percent <= 100.0:
-            raise ValueError("threshold must resolve to 0-100 percent")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-
-    @property
-    def threshold(self) -> float:
-        return self.threshold_percent / 100.0
 
 
 def parse_threshold(text: str) -> float:
@@ -91,16 +66,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _json_dump(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+def _out_file(path) -> Path:
+    """An output file's path, with its parent directory created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _write(path, text: str) -> None:
+    """Write one text output file, creating its directory."""
+    _out_file(path).write_text(text, encoding="utf-8")
+
+
+def _json_dump(obj, path) -> None:
+    _write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _load(args) -> Dataset:
     path = Path(args.dataset)
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")
-    return load_dataset(path, skip_invalid=getattr(args, "skip_invalid", False))
+    return load_dataset(path, skip_invalid=args.skip_invalid)
 
 
 def _tensor(ds: Dataset, cache: str | None) -> SimilarityTensor:
@@ -158,6 +144,12 @@ def _report_text(report: ClusteringReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _search_cfg(args) -> OptimizerConfig:
+    """optimize/crossval/pipeline's weight-search config."""
+    return OptimizerConfig(iterations=args.iterations, learning_rate=args.lr,
+                           threshold=args.threshold, seed=args.seed)
+
+
 def _classify_cluster(t, ds, w, threshold, seed):
     """cluster/export/pipeline's clustering: one Louvain seed for all three."""
     return cluster(t, ds, w, threshold, derive_seed(seed, CLASSIFY_SALT))
@@ -198,7 +190,6 @@ def cmd_export_graph(g: SimilarityGraph, p: Partition, ds: Dataset,
     }
     _json_dump({"nodes": nodes, "links": links, "meta": meta}, path)
 
-    dot_path = path.with_suffix(".dot")
     out = ["graph simnet {"]
     for node in nodes:
         out.append(
@@ -214,7 +205,7 @@ def cmd_export_graph(g: SimilarityGraph, p: Partition, ds: Dataset,
             s=_dot_escape(link["source"]), t=_dot_escape(link["target"]),
             w=link["weight"]))
     out.append("}")
-    dot_path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write(path.with_suffix(".dot"), "\n".join(out) + "\n")
 
 
 def _trace_lines(trace: OptimizerTrace) -> str:
@@ -236,7 +227,7 @@ def _trace_lines(trace: OptimizerTrace) -> str:
 def cmd_generate(args) -> int:
     ds = generate_planted(args.families, args.per_family, args.mutation_rate,
                           args.seed)
-    save_dataset(ds, Path(args.out))
+    save_dataset(ds, _out_file(args.out))
     print(f"wrote {len(ds)} samples ({args.families} families) to {args.out}")
     return EXIT_OK
 
@@ -265,27 +256,23 @@ def cmd_similarity(args) -> int:
 def cmd_cluster(args) -> int:
     ds = _load(args)
     t = _tensor(ds, args.cache)
-    g, p = _classify_cluster(t, ds, args.weights, args.threshold / 100.0, args.seed)
+    g, p = _classify_cluster(t, ds, args.weights, args.threshold, args.seed)
     report = report_from_partition(g, p, ds)
     print(_report_text(report), end="")
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _json_dump(_report_payload(report, ds), out_dir / "report.json")
+        _json_dump(_report_payload(report, ds), Path(args.out) / "report.json")
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
     ds = _load(args)
     t = _tensor(ds, args.cache)
-    cfg = OptimizerConfig(iterations=args.iterations, learning_rate=args.lr,
-                          threshold=args.threshold / 100.0, seed=args.seed)
-    trace = optimize_weights(t, ds, cfg)
+    trace = optimize_weights(t, ds, _search_cfg(args))
     print(f"best_error {trace.best_error:.4f}  accuracy {1 - trace.best_error:.4f}")
     print("weights " + "  ".join(
         f"{k}={v:.4f}" for k, v in trace.best_weights.as_dict().items()))
     if args.out:
-        Path(args.out).write_text(_trace_lines(trace), encoding="utf-8")
+        _write(args.out, _trace_lines(trace))
     return EXIT_OK
 
 
@@ -294,8 +281,7 @@ def cmd_sweep(args) -> int:
     t = _tensor(ds, args.cache)
     cfg = OptimizerConfig(iterations=args.iterations, learning_rate=args.lr,
                           seed=args.seed)
-    thresholds = [p / 100.0 for p in args.thresholds]
-    report = threshold_sweep(t, ds, cfg, thresholds)
+    report = threshold_sweep(t, ds, cfg, args.thresholds)
     for pt in report.points:
         print(f"threshold {pt.threshold * 100:5.1f}  accuracy {pt.accuracy:.4f}")
     print(f"best threshold {report.best_threshold * 100:.1f}")
@@ -308,16 +294,14 @@ def cmd_sweep(args) -> int:
                 "weights": pt.best_weights.as_dict(),
             } for pt in report.points],
         }
-        _json_dump(payload, Path(args.out))
+        _json_dump(payload, args.out)
     return EXIT_OK
 
 
 def cmd_crossval(args) -> int:
     ds = _load(args)
     t = _tensor(ds, args.cache)
-    cfg = OptimizerConfig(iterations=args.iterations, learning_rate=args.lr,
-                          threshold=args.threshold / 100.0, seed=args.seed)
-    report = kfold_crossval(ds, args.k, cfg, tensor=t)
+    report = kfold_crossval(ds, args.k, _search_cfg(args), tensor=t)
     for fr in report.per_fold:
         print(f"fold {fr.fold}  classification {fr.classification_accuracy:.4f}"
               f"  prediction {fr.prediction_accuracy:.4f}")
@@ -333,52 +317,34 @@ def cmd_crossval(args) -> int:
                 "weights": fr.weights.as_dict(),
             } for fr in report.per_fold],
         }
-        _json_dump(payload, Path(args.out))
+        _json_dump(payload, args.out)
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
     ds = _load(args)
     t = _tensor(ds, args.cache)
-    g, p = _classify_cluster(t, ds, args.weights, args.threshold / 100.0, args.seed)
+    g, p = _classify_cluster(t, ds, args.weights, args.threshold, args.seed)
     accuracy = None
     if ds.labeled_ids:
         accuracy = report_from_partition(g, p, ds).accuracy
-    cmd_export_graph(g, p, ds, Path(args.out), accuracy=accuracy)
+    cmd_export_graph(g, p, ds, args.out, accuracy=accuracy)
     print(f"wrote {args.out} and {Path(args.out).with_suffix('.dot')}")
     return EXIT_OK
 
 
-def cmd_pipeline(args) -> int:
-    cfg = RunConfig(
-        dataset_path=Path(args.dataset),
-        threshold_percent=args.threshold,
-        iterations=args.iterations,
-        learning_rate=args.lr,
-        seed=args.seed,
-        output_dir=Path(args.out),
-        cache_path=Path(args.cache) if args.cache else None,
-        skip_invalid=args.skip_invalid,
-    )
-    return run_pipeline(cfg)
-
-
-def run_pipeline(cfg: RunConfig) -> int:
-    """ingest → tensor → optimize → classify → export, into output_dir."""
-    if not cfg.dataset_path.exists():
-        raise DatasetError(f"dataset file not found: {cfg.dataset_path}")
-    ds = load_dataset(cfg.dataset_path, skip_invalid=cfg.skip_invalid)
+def run_pipeline(args) -> int:
+    """ingest → tensor → optimize → classify → export, into the --out directory."""
+    cfg = _search_cfg(args)  # a bad --iterations or --lr fails before any work
+    ds = _load(args)
 
     try:
-        t = _tensor(ds, str(cfg.cache_path) if cfg.cache_path else None)
+        t = _tensor(ds, args.cache)
     except (OSError, ValueError) as e:
         raise PipelineError("similarity", str(e)) from e
 
-    opt_cfg = OptimizerConfig(iterations=cfg.iterations,
-                              learning_rate=cfg.learning_rate,
-                              threshold=cfg.threshold, seed=cfg.seed)
     try:
-        trace = optimize_weights(t, ds, opt_cfg)
+        trace = optimize_weights(t, ds, cfg)
     except ValueError as e:
         raise PipelineError("optimize", str(e)) from e
 
@@ -388,12 +354,11 @@ def run_pipeline(cfg: RunConfig) -> int:
     except ValueError as e:
         raise PipelineError("classify", str(e)) from e
 
+    out = Path(args.out)
     try:
-        out = cfg.output_dir
-        out.mkdir(parents=True, exist_ok=True)
         _json_dump(_report_payload(report, ds), out / "report.json")
-        (out / "report.txt").write_text(_report_text(report), encoding="utf-8")
-        (out / "trace.jsonl").write_text(_trace_lines(trace), encoding="utf-8")
+        _write(out / "report.txt", _report_text(report))
+        _write(out / "trace.jsonl", _trace_lines(trace))
         cmd_export_graph(g, p, ds, out / "graph.json", accuracy=report.accuracy)
     except OSError as e:
         raise PipelineError("export", str(e)) from e
@@ -411,8 +376,9 @@ def run_pipeline(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _threshold_arg(text: str) -> float:
+    """A threshold as a unit fraction: '90' and '0.9' both give 0.9."""
     try:
-        return parse_threshold(text)
+        return parse_threshold(text) / 100.0
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from e
 
@@ -425,15 +391,15 @@ def _weights_arg(text: str) -> WeightVector:
 
 
 def _threshold_list_arg(text: str) -> list[float]:
-    """'80-95' or '80,85,90' in percent."""
+    """'80-95' (whole percents) or '80,85,90' as unit fractions."""
     try:
         if "-" in text and "," not in text:
             lo, hi = text.split("-", 1)
             lo_p, hi_p = parse_threshold(lo), parse_threshold(hi)
             if hi_p < lo_p:
                 raise ValueError(f"empty threshold range: {text}")
-            return [float(p) for p in range(int(lo_p), int(hi_p) + 1)]
-        return [parse_threshold(p) for p in text.split(",")]
+            return [p / 100.0 for p in range(int(lo_p), int(hi_p) + 1)]
+        return [parse_threshold(p) / 100.0 for p in text.split(",")]
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from e
 
@@ -470,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="cluster at fixed weights and report")
     _add_common(p)
-    p.add_argument("--threshold", type=_threshold_arg, default=90.0,
+    p.add_argument("--threshold", type=_threshold_arg, default="90",
                    help="percent (90) or fraction (0.9)")
     p.add_argument("--weights", type=_weights_arg,
                    default=WeightVector.equal(),
@@ -481,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="learn fusion weights")
     _add_common(p)
-    p.add_argument("--threshold", type=_threshold_arg, default=90.0)
+    p.add_argument("--threshold", type=_threshold_arg, default="90")
     p.add_argument("--iterations", type=int, default=1000)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
@@ -491,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="optimize independently per threshold")
     _add_common(p)
     p.add_argument("--thresholds", type=_threshold_list_arg,
-                   default=[float(pct) for pct in range(80, 96)],
+                   default="80-95",
                    help="range '80-95' or list '80,85,90' (default 80-95)")
     p.add_argument("--iterations", type=int, default=200)
     p.add_argument("--lr", type=float, default=0.05)
@@ -501,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crossval", help="stratified K-fold prediction accuracy")
     _add_common(p)
-    p.add_argument("--threshold", type=_threshold_arg, default=90.0)
+    p.add_argument("--threshold", type=_threshold_arg, default="90")
     p.add_argument("--iterations", type=int, default=1000)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--k", type=int, default=5)
@@ -511,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="write force-layout JSON + DOT files")
     _add_common(p)
-    p.add_argument("--threshold", type=_threshold_arg, default=90.0)
+    p.add_argument("--threshold", type=_threshold_arg, default="90")
     p.add_argument("--weights", type=_weights_arg,
                    default=WeightVector.equal())
     p.add_argument("--seed", type=int, default=0)
@@ -521,12 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline",
                        help="ingest, optimize, classify, export in one run")
     _add_common(p)
-    p.add_argument("--threshold", type=_threshold_arg, default=90.0)
+    p.add_argument("--threshold", type=_threshold_arg, default="90")
     p.add_argument("--iterations", type=int, default=1000)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="artifact directory")
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(func=run_pipeline)
 
     return parser
 

@@ -11,12 +11,19 @@ from .dataset import Dataset
 from .netgraph import SimilarityGraph, degree_report
 from .optimizer import (NoLabeledSamplesError, OptimizerConfig, derive_seed,
                         optimize_weights)
-from .similarity import SimilarityTensor, WeightVector, build_similarity_tensor
+from .similarity import SimilarityTensor, WeightVector
 
 UNLABELED = "Unlabeled"
 
-# salts for derive_seed so the folds, the per-fold searches and predictions,
-# and the final classification after a search draw from disjoint seed streams
+# salts for derive_seed: fold assignment (_STRAT_SALT), each fold's search
+# and prediction seeds (_OPT_SALT, f) and (_PRED_SALT, f), and the final
+# classification after a search (CLASSIFY_SALT).  They do not give streams
+# disjoint from the search's own: optimize_weights seeds iteration i with
+# derive_seed(seed, i), so derive_seed(seed, _STRAT_SALT) and
+# derive_seed(seed, CLASSIFY_SALT) are iterations 3 and 5's Louvain seeds, and
+# since SeedSequence ignores trailing zero words, fold 0's (_OPT_SALT, 0) and
+# (_PRED_SALT, 0) are iterations 1 and 2's.  Tests and benchmark goldens pin
+# every seed, so the values stay.
 _OPT_SALT, _PRED_SALT, _STRAT_SALT = 1, 2, 3
 CLASSIFY_SALT = 5
 
@@ -136,7 +143,7 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> tuple[tuple[str, ...], .
 
 
 def kfold_crossval(ds: Dataset, k: int, cfg: OptimizerConfig,
-                   tensor: SimilarityTensor | None = None) -> CrossValReport:
+                   tensor: SimilarityTensor) -> CrossValReport:
     """Stratified K-fold: learn weights on training samples, predict the rest.
 
     Per fold, weights are optimized on the training-only sub-tensor; the
@@ -145,9 +152,7 @@ def kfold_crossval(ds: Dataset, k: int, cfg: OptimizerConfig,
     community is Unlabeled counts as a miss.
     """
     folds = stratified_folds(ds, k, cfg.seed)
-    if tensor is None:
-        tensor = build_similarity_tensor(ds)
-    elif tensor.sample_order != ds.ids:
+    if tensor.sample_order != ds.ids:
         raise ValueError("tensor sample_order does not match dataset order")
     per_fold = []
     for f, test_ids in enumerate(folds):

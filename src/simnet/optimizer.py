@@ -9,7 +9,7 @@ ever recomputed during the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class OptimizerConfig:
     learning_rate: float = 0.05
     threshold: float = 0.90
     seed: int = 0
-    initial_weights: WeightVector = field(default_factory=WeightVector.equal)
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -94,13 +93,13 @@ def optimize_weights(t: SimilarityTensor, ds: Dataset,
                      cfg: OptimizerConfig) -> OptimizerTrace:
     """Error-driven greedy search for fusion weights.
 
-    Runs exactly cfg.iterations proposals after scoring the initial
-    weights (recorded as iteration 0).  The Louvain seed for iteration i
+    Runs exactly cfg.iterations proposals after scoring equal weights
+    (recorded as iteration 0).  The Louvain seed for iteration i
     derives from (cfg.seed, i), so a proposal's score never depends on
     which earlier proposals were accepted.
     """
     rng = np.random.default_rng(cfg.seed % (2 ** 64))
-    best_w = cfg.initial_weights
+    best_w = WeightVector.equal()
     best_err = clustering_error(t, ds, best_w, cfg.threshold,
                                 derive_seed(cfg.seed, 0))
     history = [TraceEntry(0, best_w, best_err, True)]

@@ -146,7 +146,8 @@ def _serialize_sequence(seq: Iterable[str]) -> bytes:
     return "\n".join(seq).encode("utf-8")
 
 
-def _score_to_unit(score: int) -> float:
+def _score_to_unit(score):
+    """A Nilsimsa score in [-128, 128], or an array of them, rescaled to [0, 1]."""
     return (score / 128.0 + 1.0) / 2.0
 
 
@@ -435,7 +436,7 @@ def _compare_matrix(digests: np.ndarray) -> np.ndarray:
     sim = np.empty(_row_start(n, n), dtype=np.float64)
     for lo, hi, diff in _pairwise_popcount(digests.view(np.uint64), np.bitwise_xor):
         out, mask = _upper(n, lo, hi)
-        sim[out] = ((128 - diff[mask]) / 128.0 + 1.0) / 2.0
+        sim[out] = _score_to_unit(128 - diff[mask])
     return sim
 
 

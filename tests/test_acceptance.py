@@ -21,7 +21,7 @@ from simnet import (OptimizerConfig, SimilarityGraph, WeightVector,
                     derive_seed, jaccard, kfold_crossval, load_dataset,
                     louvain, modularity, nilsimsa_compare, nilsimsa_digest,
                     optimize_weights, save_dataset, threshold_sweep)
-from simnet.cli import RunConfig, run_pipeline
+from simnet.cli import main
 from simnet.community import _q_arrays
 from test_community import best_partition_q, brute_q, two_cliques_graph
 
@@ -193,11 +193,10 @@ def test_criterion_8_pipeline_reruns_byte_identical(planted_ds, tmp_path):
     save_dataset(planted_ds, data)
     outs = [tmp_path / "run1", tmp_path / "run2"]
     for out in outs:
-        cfg = RunConfig(dataset_path=data, threshold_percent=90.0,
-                        iterations=150, learning_rate=LEARNING_RATE,
-                        seed=OPT_SEED, output_dir=out,
-                        cache_path=tmp_path / "tensor.cache")
-        assert run_pipeline(cfg) == 0
+        assert main(["pipeline", "--dataset", str(data), "--threshold", "90",
+                     "--iterations", "150", "--lr", str(LEARNING_RATE),
+                     "--seed", str(OPT_SEED), "--out", str(out),
+                     "--cache", str(tmp_path / "tensor.cache")]) == 0
     names = ("report.json", "report.txt", "trace.jsonl", "graph.json",
              "graph.dot")
     for name in names:

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from simnet import (FEATURES, SimilarityTensor, WeightVector,
                     build_similarity_tensor, classify, derive_seed,
                     generate_planted, load_dataset, save_dataset)
-from simnet.cli import (EXIT_DATA, EXIT_OK, EXIT_PIPELINE, main,
+from simnet.cli import (EXIT_DATA, EXIT_OK, EXIT_PIPELINE, build_parser, main,
                         parse_threshold, parse_weights)
 from test_similarity import CORRUPT_HEADERS
 
@@ -266,6 +267,45 @@ class TestCommands:
         assert dot[0] == "graph simnet {"
         assert dot[-1] == "}"
         assert sum(1 for ln in dot if " -- " in ln) == len(payload["links"])
+
+
+def _out_subcommands() -> list[str]:
+    """Every subcommand that takes --out, read off the parser."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sorted(name for name, p in sub.choices.items()
+                  if any("--out" in a.option_strings for a in p._actions))
+
+
+# per --out subcommand: its other flags, its --out relative to a directory
+# that does not exist yet, and the files it must leave there
+OUT_CASES = {
+    "generate": (["--families", "2", "--per-family", "3"], "data.jsonl",
+                 ("data.jsonl",)),
+    "cluster": ([], "run", ("run/report.json",)),
+    "optimize": (["--iterations", "2"], "trace.jsonl", ("trace.jsonl",)),
+    "sweep": (["--thresholds", "90", "--iterations", "2"], "sweep.json",
+              ("sweep.json",)),
+    "crossval": (["--k", "2", "--iterations", "2"], "cv.json", ("cv.json",)),
+    "export": ([], "graph.json", ("graph.json", "graph.dot")),
+    "pipeline": (["--iterations", "2"], "run",
+                 ("run/report.json", "run/report.txt", "run/trace.jsonl",
+                  "run/graph.json", "run/graph.dot")),
+}
+
+
+class TestOutDirectories:
+    @pytest.mark.parametrize("command", _out_subcommands())
+    def test_out_under_a_new_directory_is_created(self, command, dataset_path,
+                                                  tmp_path):
+        assert command in OUT_CASES, f"add {command} to OUT_CASES"
+        flags, out, files = OUT_CASES[command]
+        nested = tmp_path / "new" / "deeper"
+        dataset = [] if command == "generate" else ["--dataset", str(dataset_path)]
+        assert main([command, *dataset, *flags,
+                     "--out", str(nested / out)]) == EXIT_OK
+        for name in files:
+            assert (nested / name).is_file(), name
 
 
 class TestPipeline:

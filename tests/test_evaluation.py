@@ -276,12 +276,6 @@ class TestKFoldCrossval:
         assert rep.mean_prediction_accuracy == pytest.approx(mean, abs=1e-12)
         assert [r.fold for r in rep.per_fold] == [0, 1, 2]
 
-    def test_supplied_tensor_matches_fresh_build(self, small_ds, small_tensor,
-                                                 fast_cfg):
-        with_t = kfold_crossval(small_ds, 2, fast_cfg, tensor=small_tensor)
-        without = kfold_crossval(small_ds, 2, fast_cfg)
-        assert with_t.per_fold == without.per_fold
-
     def test_mismatched_tensor_rejected(self, small_ds, small_tensor, fast_cfg):
         reordered = Dataset(tuple(reversed(small_ds.samples)))
         with pytest.raises(ValueError, match="sample_order"):

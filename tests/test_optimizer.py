@@ -137,7 +137,7 @@ class TestOptimizeWeights:
 
     def test_baseline_entry_is_initial_weights(self, run, fast_cfg):
         first = run.history[0]
-        assert first.weights == fast_cfg.initial_weights
+        assert first.weights == WeightVector.equal()
         assert first.accepted
 
     def test_best_error_is_running_minimum_of_accepted(self, run):
