@@ -104,7 +104,7 @@ def _tensor(ds: Dataset, cache: str | None) -> SimilarityTensor:
                 log.warning("tensor cache %s does not match dataset; rebuilding",
                             cache_path)
         t = build_similarity_tensor(ds)
-        t.save(cache_path)
+        t.save(_out_file(cache_path))
         return t
     return build_similarity_tensor(ds)
 

@@ -9,7 +9,11 @@ Weight optimization runs Louvain thousands of times per search, so the
 local moves live in one indexing-only kernel over CSR adjacency.  numba
 compiles it when installed; otherwise the same body runs on Python lists,
 which CPython indexes far faster than numpy arrays.  Both give identical
-partitions.
+partitions.  A node rescans its edges only after a neighbour changed
+community; otherwise it reuses the community weight sums of its last scan.
+Those are exactly what a rescan would add up (same neighbours, same
+communities, same order), so every gain, tie-break and partition is the
+same as with a rescan on every visit.
 """
 
 from __future__ import annotations
@@ -131,46 +135,74 @@ def _build_csr(n: int, src, dst, w):
 
 @njit(cache=True)
 def _local_moves(indptr, indices, weights, k, m, order, comm, comm_tot,
-                 comm_w, touched, moves, max_moves):
+                 comm_w, row_c, row_w, n_row, moves, max_moves):
     """Sweep nodes in `order` until a full pass moves nothing.
 
     A node joins the neighbouring community with the largest gain
     k_x_in(C) − Σtot(C)·k_x/2m (evaluated with the node removed); staying
     put wins ties, so only strict modularity increases are accepted.
-    `comm_w` (zeros) and `touched` are per-node scratch; every accepted
-    move is logged to the flat `moves` as (node, from, to).  Returns the
-    move count, or -1 once more than `max_moves` moves are needed.
+    Every accepted move is logged to the flat `moves` as (node, from, to).
+    Returns the move count, or -1 once more than `max_moves` moves are
+    needed.
+
+    Scanning node x's CSR row lists the communities it touches, in order
+    of first appearance, with their sums k_x_in(C), in `row_c`/`row_w` at
+    x's own CSR offsets (a row touches at most deg(x) communities);
+    `comm_w` (zeros) accumulates the sums.  From the second sweep on,
+    `n_row[x]` keeps the list's length, and a move sets it to -1 on every
+    neighbour of the moved node.  Only a node at -1 rescans; any other
+    reuses its list, which is exact: a rescan would add the same weights,
+    of the same neighbours in the same communities, in the same order.
+    The first sweep leaves every node at -1, because each node is rescanned
+    in the second sweep anyway.  Edgeless nodes are skipped: no node can
+    join their community, so they never move and its Σtot stays k_x.
     Indexing only, so the same body runs on numpy arrays under numba and
     on Python lists without it.
     """
-    n = len(comm)
     two_m = 2.0 * m
     n_moves = 0
+    first_sweep = True
     moved = True
     while moved:
         moved = False
-        for oi in range(n):
-            x = order[oi]
+        for x in order:
+            lo = indptr[x]
+            hi = indptr[x + 1]
+            if lo == hi:
+                continue
             cx = comm[x]
             kx = k[x]
-            n_touched = 0
-            for e in range(indptr[x], indptr[x + 1]):
-                y = indices[e]
-                if y == x:
-                    continue
-                cy = comm[y]
-                if comm_w[cy] == 0.0:
-                    touched[n_touched] = cy
-                    n_touched += 1
-                comm_w[cy] += weights[e]
+            n_c = n_row[x]
+            if n_c < 0:
+                end = lo
+                for e in range(lo, hi):
+                    cy = comm[indices[e]]
+                    if comm_w[cy] == 0.0:
+                        row_c[end] = cy
+                        end += 1
+                    comm_w[cy] += weights[e]
+                own_w = comm_w[cx]
+                for t in range(lo, end):
+                    c = row_c[t]
+                    row_w[t] = comm_w[c]
+                    comm_w[c] = 0.0
+                if not first_sweep:
+                    n_row[x] = end - lo
+            else:
+                end = lo + n_c
+                own_w = 0.0
+                for t in range(lo, end):
+                    if row_c[t] == cx:
+                        own_w = row_w[t]
+                        break
             comm_tot[cx] -= kx
             best_c = cx
-            best_gain = comm_w[cx] - comm_tot[cx] * kx / two_m
-            for t in range(n_touched):
-                c = touched[t]
+            best_gain = own_w - comm_tot[cx] * kx / two_m
+            for t in range(lo, end):
+                c = row_c[t]
                 if c == cx:
                     continue
-                gain = comm_w[c] - comm_tot[c] * kx / two_m
+                gain = row_w[t] - comm_tot[c] * kx / two_m
                 if gain > best_gain:
                     best_gain = gain
                     best_c = c
@@ -184,8 +216,10 @@ def _local_moves(indptr, indices, weights, k, m, order, comm, comm_tot,
                 moves[3 * n_moves + 2] = best_c
                 n_moves += 1
                 moved = True
-            for t in range(n_touched):
-                comm_w[touched[t]] = 0.0
+                if not first_sweep:
+                    for e in range(lo, hi):
+                        n_row[indices[e]] = -1
+        first_sweep = False
     return n_moves
 
 
@@ -199,26 +233,35 @@ def _kernel_input(a: np.ndarray):
     return a if _COMPILED else a.tolist()
 
 
+def _filled(size: int, value):
+    """Kernel scratch of `size` copies of `value`, made without numpy when
+    the kernel runs on lists."""
+    return np.full(size, value) if _COMPILED else [value] * size
+
+
 def _run_level(n, src, dst, w, self_w, order, cap=None):
     """Local moves from singletons on one level's graph.
 
     Returns (comm, moves) as int64 arrays, moves as (node, from, to) rows.
-    `cap` is the initial move-log capacity; a full log restarts the level
-    with a 4x larger one.
+    An edgeless level has no moves and builds no CSR.  `cap` is the
+    initial move-log capacity; a full log restarts the level with a 4x
+    larger one.
     """
+    if len(src) == 0:
+        return np.arange(n, dtype=np.int64), np.empty((0, 3), dtype=np.int64)
     indptr, indices, weights = map(_kernel_input, _build_csr(n, src, dst, w))
-    k = _weighted_degrees(n, src, dst, w, self_w)
+    k = _kernel_input(_weighted_degrees(n, src, dst, w, self_w))
     m = float(w.sum()) + float(self_w.sum())
-    k_in, order_in = _kernel_input(k), _kernel_input(order)
+    order = _kernel_input(order)
     if cap is None:
         cap = max(64, 8 * n)
     while True:
-        comm = _kernel_input(np.arange(n, dtype=np.int64))
-        moves = _kernel_input(np.empty(3 * cap, dtype=np.int64))
-        n_moves = _local_moves(indptr, indices, weights, k_in, m, order_in,
-                               comm, _kernel_input(k.copy()),
-                               _kernel_input(np.zeros(n, dtype=np.float64)),
-                               _kernel_input(np.zeros(n, dtype=np.int64)),
+        comm = np.arange(n, dtype=np.int64) if _COMPILED else list(range(n))
+        moves = _filled(3 * cap, 0)
+        n_moves = _local_moves(indptr, indices, weights, k, m, order, comm,
+                               k.copy(), _filled(n, 0.0),
+                               _filled(len(indices), 0),
+                               _filled(len(indices), 0.0), _filled(n, -1),
                                moves, cap)
         if n_moves >= 0:
             moves = np.asarray(moves[:3 * n_moves], dtype=np.int64)

@@ -307,6 +307,20 @@ class TestOutDirectories:
         for name in files:
             assert (nested / name).is_file(), name
 
+    @pytest.mark.parametrize("command,flags", [
+        ("similarity", []),
+        ("pipeline", ["--iterations", "2", "--out", "run"]),
+    ])
+    def test_cache_under_a_new_directory_is_created(self, command, flags,
+                                                    dataset_path, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache = tmp_path / "new" / "deeper" / "st.bin"
+        assert main([command, "--dataset", str(dataset_path), *flags,
+                     "--cache", str(cache)]) == EXIT_OK
+        assert cache.is_file()
+        assert sorted(p.name for p in cache.parent.iterdir()) == ["st.bin"]
+
 
 class TestPipeline:
     def test_artifacts_written_and_summary_printed(self, dataset_path,

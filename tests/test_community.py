@@ -12,6 +12,8 @@ from simnet.community import (Partition, _build_csr, _canonical,
                               _kernel_input, _local_moves, _q_arrays,
                               _run_level, _weighted_degrees)
 
+from louvain_oracle import full_rescan_level
+
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -245,19 +247,44 @@ class TestKernel:
     PARTITION_SHA256 = ("a90c6e0b152b1e92d438b9d5f601db63"
                         "960fbff857bbd0eced3223357d870eb7")
 
+    # The same sha256 over the traffic of the benchmark's sweep: planted
+    # corpora 7 and 11, the 16 thresholds 0.80-0.95, three Dirichlet weight
+    # vectors and Louvain seeds 0 and 1, recorded from the full-rescan
+    # kernel before local moves reused a node's neighbour sums.
+    SWEEP_PARTITION_SHA256 = ("4dba32dd8259a8c7e97c9cdedc89e697"
+                              "abddf50659642ce1b19304582feff60d")
+
+    @staticmethod
+    def _hash_partitions(h, g, seeds):
+        for seed in seeds:
+            p = louvain(g, seed, track=True)
+            h.update(p.membership.astype("<i8").tobytes())
+            h.update(struct.pack("<d", p.modularity))
+            for lv in p.trace:
+                h.update(struct.pack("<q", len(lv.moves)))
+                h.update(np.ascontiguousarray(lv.moves, dtype="<i8").tobytes())
+
     def test_planted_partitions_match_golden(self, planted_tensor):
         from simnet import WeightVector, build_graph
         h = hashlib.sha256()
         for threshold in (0.80, 0.85, 0.90, 0.95):
             g = build_graph(planted_tensor, WeightVector.equal(), threshold)
-            for seed in (0, 1, 2, 12345):
-                p = louvain(g, seed, track=True)
-                h.update(p.membership.astype("<i8").tobytes())
-                h.update(struct.pack("<d", p.modularity))
-                for lv in p.trace:
-                    h.update(struct.pack("<q", len(lv.moves)))
-                    h.update(np.ascontiguousarray(lv.moves, dtype="<i8").tobytes())
+            self._hash_partitions(h, g, (0, 1, 2, 12345))
         assert h.hexdigest() == self.PARTITION_SHA256
+
+    def test_sweep_traffic_partitions_match_golden(self, planted_tensor):
+        from simnet import (WeightVector, build_graph,
+                            build_similarity_tensor, generate_planted)
+        tensors = (planted_tensor, build_similarity_tensor(
+            generate_planted(8, 50, 0.10, seed=11)))
+        weights = [WeightVector.from_array(v) for v in
+                   np.random.default_rng(2024).dirichlet(np.ones(4), size=3)]
+        h = hashlib.sha256()
+        for t in tensors:
+            for threshold in (p / 100.0 for p in range(80, 96)):
+                for w in weights:
+                    self._hash_partitions(h, build_graph(t, w, threshold), (0, 1))
+        assert h.hexdigest() == self.SWEEP_PARTITION_SHA256
 
     def test_csr_rows_list_edges_in_edge_order(self):
         g, edges = random_graph(np.random.default_rng(8), 9, p=0.6)
@@ -280,21 +307,11 @@ class TestKernel:
         order = np.random.default_rng(2).permutation(g.n).astype(np.int64)
         return g.n, src, dst, w, np.zeros(g.n), order
 
-    def _moves_with_log(self, level, max_moves):
-        n, src, dst, w, self_w, order = level
-        k = _weighted_degrees(n, src, dst, w, self_w)
-        args = (*_build_csr(n, src, dst, w), k, float(w.sum()), order,
-                np.arange(n, dtype=np.int64), k.copy(), np.zeros(n),
-                np.zeros(n, dtype=np.int64),
-                np.zeros(3 * max_moves, dtype=np.int64))
-        return _local_moves(*(_kernel_input(a) if isinstance(a, np.ndarray)
-                              else a for a in args), max_moves)
-
     def test_full_move_log_returns_minus_one(self, level):
         _, moves = _run_level(*level)
         assert len(moves) > 1
-        assert self._moves_with_log(level, len(moves)) == len(moves)
-        assert self._moves_with_log(level, len(moves) - 1) == -1
+        assert moves_with_log(level, len(moves)) == len(moves)
+        assert moves_with_log(level, len(moves) - 1) == -1
 
     def test_overflow_retry_matches_first_attempt(self, level):
         comm, moves = _run_level(*level)
@@ -303,6 +320,73 @@ class TestKernel:
         assert np.array_equal(comm_retry, comm)
         assert np.array_equal(moves_retry, moves)
         assert moves.shape == (len(moves), 3)
+
+
+def moves_with_log(level, max_moves):
+    """The kernel's return on one level with a `max_moves` move log."""
+    n, src, dst, w, self_w, order = level
+    indptr, indices, weights = _build_csr(n, src, dst, w)
+    k = _weighted_degrees(n, src, dst, w, self_w)
+    e = len(indices)
+    args = (indptr, indices, weights, k, float(w.sum() + self_w.sum()), order,
+            np.arange(n, dtype=np.int64), k.copy(), np.zeros(n),
+            np.zeros(e, dtype=np.int64), np.zeros(e),
+            np.full(n, -1, dtype=np.int64),
+            np.zeros(3 * max_moves, dtype=np.int64))
+    return _local_moves(*(_kernel_input(a) if isinstance(a, np.ndarray)
+                          else a for a in args), max_moves)
+
+
+@st.composite
+def levels(draw):
+    """A level as louvain hands it to `_run_level`, plus a log capacity.
+
+    Covers tied unit weights, isolated nodes (up to three trailing nodes
+    get no edge), random self-loop weights, edgeless levels and logs far
+    smaller than the move count.
+    """
+    n = draw(st.integers(1, 16))
+    n_linked = n - draw(st.integers(0, min(3, n)))
+    pairs = [(i, j) for i in range(n_linked) for j in range(i + 1, n_linked)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if draw(st.booleans()):
+        w = [1.0] * len(edges)
+    else:
+        w = draw(st.lists(st.sampled_from((0.25, 0.5, 0.625, 1.0))
+                          | st.floats(0.01, 4.0),
+                          min_size=len(edges), max_size=len(edges)))
+    if draw(st.booleans()):
+        self_w = draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
+    else:
+        self_w = [0.0] * n
+    if not edges and not any(self_w):
+        self_w[0] = 1.0   # a level always carries weight (2m > 0)
+    order = draw(st.permutations(range(n)))
+    cap = draw(st.integers(1, 2 * n + 2))
+    as_i64 = lambda xs: np.array(xs, dtype=np.int64).reshape(-1)
+    level = (n, as_i64([i for i, _ in edges]), as_i64([j for _, j in edges]),
+             np.array(w, dtype=np.float64), np.array(self_w, dtype=np.float64),
+             as_i64(order))
+    return level, cap
+
+
+class TestKernelMatchesFullRescan:
+    """The kernel reuses a node's community sums until a neighbour moves;
+    it must agree move for move with a kernel that rescans on every visit."""
+
+    @given(case=levels())
+    @settings(max_examples=400, deadline=None)
+    def test_same_partition_moves_and_overflow(self, case):
+        level, cap = case
+        roomy = 64 * level[0] + 64
+        comm, moves, n_moves = full_rescan_level(*level, roomy)
+        assert n_moves >= 0
+        # bounded logs first, so a kernel that never settles fails, not hangs
+        assert moves_with_log(level, roomy) == n_moves
+        assert moves_with_log(level, cap) == full_rescan_level(*level, cap)[2]
+        got_comm, got_moves = _run_level(*level, cap=cap)
+        assert got_comm.tolist() == comm
+        assert got_moves.ravel().tolist() == moves
 
 
 # ---------------------------------------------------------------------------
