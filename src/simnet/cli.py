@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -42,6 +43,8 @@ def parse_threshold(text: str) -> float:
     """Threshold in percent.  Values above 1 are percent (90); values up to
     1 are unit fractions (0.9) and get scaled."""
     value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"threshold must be finite: {text}")
     if value < 0.0:
         raise ValueError(f"threshold cannot be negative: {text}")
     percent = value * 100.0 if value <= 1.0 else value
@@ -390,15 +393,24 @@ def _weights_arg(text: str) -> WeightVector:
         raise argparse.ArgumentTypeError(str(e)) from e
 
 
+def _whole_percent(text: str) -> int:
+    """A threshold range end: a whole percent, up to float rounding
+    (0.57 is 56.99999999999999 percent)."""
+    percent = parse_threshold(text)
+    whole = round(percent)
+    if abs(percent - whole) > 1e-9:
+        raise ValueError(f"threshold range ends must be whole percents: {text}")
+    return whole
+
+
 def _threshold_list_arg(text: str) -> list[float]:
     """'80-95' (whole percents) or '80,85,90' as unit fractions."""
     try:
         if "-" in text and "," not in text:
-            lo, hi = text.split("-", 1)
-            lo_p, hi_p = parse_threshold(lo), parse_threshold(hi)
-            if hi_p < lo_p:
+            lo, hi = map(_whole_percent, text.split("-", 1))
+            if hi < lo:
                 raise ValueError(f"empty threshold range: {text}")
-            return [p / 100.0 for p in range(int(lo_p), int(hi_p) + 1)]
+            return [p / 100.0 for p in range(lo, hi + 1)]
         return [parse_threshold(p) / 100.0 for p in text.split(",")]
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from e

@@ -6,14 +6,13 @@ modularity), then aggregation of communities into super-nodes whose
 intra-community weight becomes a self-loop.
 
 Weight optimization runs Louvain thousands of times per search, so the
-local moves live in one indexing-only kernel over CSR adjacency.  numba
-compiles it when installed; otherwise the same body runs on Python lists,
-which CPython indexes far faster than numpy arrays.  Both give identical
-partitions.  A node rescans its edges only after a neighbour changed
-community; otherwise it reuses the community weight sums of its last scan.
-Those are exactly what a rescan would add up (same neighbours, same
-communities, same order), so every gain, tie-break and partition is the
-same as with a rescan on every visit.
+local moves live in one pure-Python kernel over CSR adjacency held in
+Python lists, which CPython indexes far faster than numpy arrays.  A node
+rescans its edges only after a neighbour changed community; otherwise it
+reuses the community weight sums of its last scan.  Those are exactly what
+a rescan would add up (same neighbours, same communities, same order), so
+every gain, tie-break and partition is the same as with a rescan on every
+visit.
 """
 
 from __future__ import annotations
@@ -22,14 +21,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 import numpy as np
-
-try:
-    from numba import njit
-except ImportError:  # plain-python fallback: same kernel body, on lists
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return lambda f: f
 
 from .dataset import Dataset
 from .netgraph import SimilarityGraph, build_graph
@@ -133,17 +124,14 @@ def _build_csr(n: int, src, dst, w):
     return indptr, cols[perm], np.repeat(w, 2)[perm]
 
 
-@njit(cache=True)
-def _local_moves(indptr, indices, weights, k, m, order, comm, comm_tot,
-                 comm_w, row_c, row_w, n_row, moves, max_moves):
+def _local_moves(indptr, indices, weights, k, m, order, moves):
     """Sweep nodes in `order` until a full pass moves nothing.
 
     A node joins the neighbouring community with the largest gain
     k_x_in(C) − Σtot(C)·k_x/2m (evaluated with the node removed); staying
     put wins ties, so only strict modularity increases are accepted.
-    Every accepted move is logged to the flat `moves` as (node, from, to).
-    Returns the move count, or -1 once more than `max_moves` moves are
-    needed.
+    Every accepted move is appended to `moves` as (node, from, to).
+    Returns each node's community, starting from singletons.
 
     Scanning node x's CSR row lists the communities it touches, in order
     of first appearance, with their sums k_x_in(C), in `row_c`/`row_w` at
@@ -156,11 +144,15 @@ def _local_moves(indptr, indices, weights, k, m, order, comm, comm_tot,
     The first sweep leaves every node at -1, because each node is rescanned
     in the second sweep anyway.  Edgeless nodes are skipped: no node can
     join their community, so they never move and its Σtot stays k_x.
-    Indexing only, so the same body runs on numpy arrays under numba and
-    on Python lists without it.
     """
+    n = len(k)
+    comm = list(range(n))
+    comm_tot = list(k)
+    comm_w = [0.0] * n
+    row_c = [0] * len(indices)
+    row_w = [0.0] * len(indices)
+    n_row = [-1] * n
     two_m = 2.0 * m
-    n_moves = 0
     first_sweep = True
     moved = True
     while moved:
@@ -208,65 +200,31 @@ def _local_moves(indptr, indices, weights, k, m, order, comm, comm_tot,
                     best_c = c
             comm_tot[best_c] += kx
             if best_c != cx:
-                if n_moves >= max_moves:
-                    return -1
                 comm[x] = best_c
-                moves[3 * n_moves] = x
-                moves[3 * n_moves + 1] = cx
-                moves[3 * n_moves + 2] = best_c
-                n_moves += 1
+                moves.append((x, cx, best_c))
                 moved = True
                 if not first_sweep:
                     for e in range(lo, hi):
                         n_row[indices[e]] = -1
         first_sweep = False
-    return n_moves
+    return comm
 
 
-# A numba dispatcher keeps the Python body as .py_func; without numba the
-# kernel is that body itself and runs fastest on Python lists.
-_COMPILED = hasattr(_local_moves, "py_func")
-
-
-def _kernel_input(a: np.ndarray):
-    """An array as the kernel takes it: as is when compiled, else a list."""
-    return a if _COMPILED else a.tolist()
-
-
-def _filled(size: int, value):
-    """Kernel scratch of `size` copies of `value`, made without numpy when
-    the kernel runs on lists."""
-    return np.full(size, value) if _COMPILED else [value] * size
-
-
-def _run_level(n, src, dst, w, self_w, order, cap=None):
+def _run_level(n, src, dst, w, self_w, order):
     """Local moves from singletons on one level's graph.
 
     Returns (comm, moves) as int64 arrays, moves as (node, from, to) rows.
-    An edgeless level has no moves and builds no CSR.  `cap` is the
-    initial move-log capacity; a full log restarts the level with a 4x
-    larger one.
+    An edgeless level has no moves and builds no CSR.
     """
     if len(src) == 0:
         return np.arange(n, dtype=np.int64), np.empty((0, 3), dtype=np.int64)
-    indptr, indices, weights = map(_kernel_input, _build_csr(n, src, dst, w))
-    k = _kernel_input(_weighted_degrees(n, src, dst, w, self_w))
+    indptr, indices, weights = (a.tolist() for a in _build_csr(n, src, dst, w))
+    k = _weighted_degrees(n, src, dst, w, self_w).tolist()
     m = float(w.sum()) + float(self_w.sum())
-    order = _kernel_input(order)
-    if cap is None:
-        cap = max(64, 8 * n)
-    while True:
-        comm = np.arange(n, dtype=np.int64) if _COMPILED else list(range(n))
-        moves = _filled(3 * cap, 0)
-        n_moves = _local_moves(indptr, indices, weights, k, m, order, comm,
-                               k.copy(), _filled(n, 0.0),
-                               _filled(len(indices), 0),
-                               _filled(len(indices), 0.0), _filled(n, -1),
-                               moves, cap)
-        if n_moves >= 0:
-            moves = np.asarray(moves[:3 * n_moves], dtype=np.int64)
-            return np.asarray(comm, dtype=np.int64), moves.reshape(n_moves, 3)
-        cap *= 4   # log buffer overflowed: redo the level with a bigger one
+    moves = []
+    comm = _local_moves(indptr, indices, weights, k, m, order.tolist(), moves)
+    return (np.array(comm, dtype=np.int64),
+            np.array(moves, dtype=np.int64).reshape(-1, 3))
 
 
 def _aggregate(src, dst, w, self_w, comm, n_comms):

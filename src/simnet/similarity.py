@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -186,6 +187,8 @@ class WeightVector:
 
     def __post_init__(self):
         vals = self.as_tuple()
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError(f"weights must be finite: {vals}")
         if any(v < 0.0 for v in vals):
             raise ValueError(f"weights must be nonnegative: {vals}")
         if abs(sum(vals) - 1.0) > 1e-9:

@@ -2,8 +2,8 @@
 
 Every visit rescans the node's whole CSR row to rebuild its neighbouring
 communities' weight sums, as the kernel did before it reused those sums.
-The production kernel must give the same partitions, move logs and
-log-overflow points on every level.
+The production kernel must give the same partitions and move logs on
+every level.
 """
 
 import numpy as np

@@ -7,8 +7,8 @@ import pytest
 from simnet import (FEATURES, SimilarityTensor, WeightVector,
                     build_similarity_tensor, classify, derive_seed,
                     generate_planted, load_dataset, save_dataset)
-from simnet.cli import (EXIT_DATA, EXIT_OK, EXIT_PIPELINE, build_parser, main,
-                        parse_threshold, parse_weights)
+from simnet.cli import (EXIT_DATA, EXIT_OK, EXIT_PIPELINE, _threshold_list_arg,
+                        build_parser, main, parse_threshold, parse_weights)
 from test_similarity import CORRUPT_HEADERS
 
 
@@ -47,6 +47,8 @@ class TestParseThreshold:
             parse_threshold("105")
         with pytest.raises(ValueError):
             parse_threshold("-3")
+        with pytest.raises(ValueError):
+            parse_threshold("nan")
 
 
 class TestParseWeights:
@@ -61,6 +63,8 @@ class TestParseWeights:
     def test_invalid_simplex_rejected(self):
         with pytest.raises(ValueError):
             parse_weights("1,1,1,1")
+        with pytest.raises(ValueError):
+            parse_weights("nan,0,0,1")
 
 
 class TestExitCodes:
@@ -75,10 +79,11 @@ class TestExitCodes:
         assert exc.value.code == 1
 
     def test_usage_error_bad_threshold(self, dataset_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["cluster", "--dataset", str(dataset_path),
-                  "--threshold", "200"])
-        assert exc.value.code == 1
+        for threshold in ("200", "nan"):
+            with pytest.raises(SystemExit) as exc:
+                main(["cluster", "--dataset", str(dataset_path),
+                      "--threshold", threshold])
+            assert exc.value.code == 1
 
     def test_missing_dataset_is_data_error(self, tmp_path, capsys):
         rc = main(["ingest", "--dataset", str(tmp_path / "absent.jsonl")])
@@ -237,6 +242,17 @@ class TestCommands:
         assert rc == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert sum(1 for ln in lines if ln.startswith("threshold ")) == 3
+
+    def test_sweep_range_ends_snap_to_whole_percents(self):
+        # 0.57 * 100 is 56.99999999999999; the range must still start at 57
+        assert _threshold_list_arg("0.57-0.6") == [0.57, 0.58, 0.59, 0.6]
+        assert _threshold_list_arg("80-95") == [p / 100.0 for p in range(80, 96)]
+
+    def test_sweep_range_rejects_fractional_percent_end(self, dataset_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--dataset", str(dataset_path),
+                  "--thresholds", "80.5-82", "--iterations", "2"])
+        assert exc.value.code == 1
 
     def test_crossval_payload(self, dataset_path, tmp_path, capsys):
         out = tmp_path / "cv.json"

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from simnet import (Dataset, ModularityUndefinedError, Sample,
                     SimilarityGraph, label_communities, louvain, modularity)
 from simnet.community import (Partition, _build_csr, _canonical,
-                              _kernel_input, _local_moves, _q_arrays,
-                              _run_level, _weighted_degrees)
+                              _local_moves, _q_arrays, _run_level,
+                              _weighted_degrees)
 
 from louvain_oracle import full_rescan_level
 
@@ -238,12 +238,12 @@ class TestTrace:
 
 
 class TestKernel:
-    """The local-move kernel and its CSR input, on either backend."""
+    """The local-move kernel and its CSR input."""
 
     # sha256 over membership, modularity and per-level move logs of
     # louvain(track=True) on the 8x50 planted corpus at equal weights,
-    # recorded from the numpy-indexed kernel before the list-fed fallback
-    # existed.  Both backends must reproduce it.
+    # recorded from the numpy-indexed kernel before the kernel ran on
+    # Python lists.  The list-fed kernel must reproduce it.
     PARTITION_SHA256 = ("a90c6e0b152b1e92d438b9d5f601db63"
                         "960fbff857bbd0eced3223357d870eb7")
 
@@ -299,51 +299,35 @@ class TestKernel:
                            weights[indptr[x]:indptr[x + 1]].tolist()))
             assert got == [(int(y), float(w)) for y, w in rows[x]]
 
-    @pytest.fixture
-    def level(self):
-        g, _ = random_graph(np.random.default_rng(5), 12, p=0.4)
-        src, dst = g.src.astype(np.int64), g.dst.astype(np.int64)
-        w = g.weight.astype(np.float64)
-        order = np.random.default_rng(2).permutation(g.n).astype(np.int64)
-        return g.n, src, dst, w, np.zeros(g.n), order
 
-    def test_full_move_log_returns_minus_one(self, level):
-        _, moves = _run_level(*level)
-        assert len(moves) > 1
-        assert moves_with_log(level, len(moves)) == len(moves)
-        assert moves_with_log(level, len(moves) - 1) == -1
+class BoundedLog(list):
+    """A move log that fails once it would hold more than `bound` moves."""
 
-    def test_overflow_retry_matches_first_attempt(self, level):
-        comm, moves = _run_level(*level)
-        comm_retry, moves_retry = _run_level(*level, cap=1)
-        assert comm_retry.dtype == moves_retry.dtype == np.int64
-        assert np.array_equal(comm_retry, comm)
-        assert np.array_equal(moves_retry, moves)
-        assert moves.shape == (len(moves), 3)
+    def __init__(self, bound):
+        super().__init__()
+        self.bound = bound
+
+    def append(self, move):
+        if len(self) >= self.bound:
+            raise AssertionError(f"kernel made more than {self.bound} moves")
+        super().append(move)
 
 
-def moves_with_log(level, max_moves):
-    """The kernel's return on one level with a `max_moves` move log."""
+def kernel_comm(level, moves):
+    """The kernel's communities on one level; its moves go to `moves`."""
     n, src, dst, w, self_w, order = level
-    indptr, indices, weights = _build_csr(n, src, dst, w)
-    k = _weighted_degrees(n, src, dst, w, self_w)
-    e = len(indices)
-    args = (indptr, indices, weights, k, float(w.sum() + self_w.sum()), order,
-            np.arange(n, dtype=np.int64), k.copy(), np.zeros(n),
-            np.zeros(e, dtype=np.int64), np.zeros(e),
-            np.full(n, -1, dtype=np.int64),
-            np.zeros(3 * max_moves, dtype=np.int64))
-    return _local_moves(*(_kernel_input(a) if isinstance(a, np.ndarray)
-                          else a for a in args), max_moves)
+    indptr, indices, weights = (a.tolist() for a in _build_csr(n, src, dst, w))
+    k = _weighted_degrees(n, src, dst, w, self_w).tolist()
+    return _local_moves(indptr, indices, weights, k,
+                        float(w.sum() + self_w.sum()), order.tolist(), moves)
 
 
 @st.composite
 def levels(draw):
-    """A level as louvain hands it to `_run_level`, plus a log capacity.
+    """A level as louvain hands it to `_run_level`.
 
     Covers tied unit weights, isolated nodes (up to three trailing nodes
-    get no edge), random self-loop weights, edgeless levels and logs far
-    smaller than the move count.
+    get no edge), random self-loop weights and edgeless levels.
     """
     n = draw(st.integers(1, 16))
     n_linked = n - draw(st.integers(0, min(3, n)))
@@ -362,29 +346,30 @@ def levels(draw):
     if not edges and not any(self_w):
         self_w[0] = 1.0   # a level always carries weight (2m > 0)
     order = draw(st.permutations(range(n)))
-    cap = draw(st.integers(1, 2 * n + 2))
     as_i64 = lambda xs: np.array(xs, dtype=np.int64).reshape(-1)
-    level = (n, as_i64([i for i, _ in edges]), as_i64([j for _, j in edges]),
-             np.array(w, dtype=np.float64), np.array(self_w, dtype=np.float64),
-             as_i64(order))
-    return level, cap
+    return (n, as_i64([i for i, _ in edges]), as_i64([j for _, j in edges]),
+            np.array(w, dtype=np.float64), np.array(self_w, dtype=np.float64),
+            as_i64(order))
 
 
 class TestKernelMatchesFullRescan:
     """The kernel reuses a node's community sums until a neighbour moves;
     it must agree move for move with a kernel that rescans on every visit."""
 
-    @given(case=levels())
+    @given(level=levels())
     @settings(max_examples=400, deadline=None)
-    def test_same_partition_moves_and_overflow(self, case):
-        level, cap = case
+    def test_same_partition_and_moves(self, level):
         roomy = 64 * level[0] + 64
         comm, moves, n_moves = full_rescan_level(*level, roomy)
         assert n_moves >= 0
-        # bounded logs first, so a kernel that never settles fails, not hangs
-        assert moves_with_log(level, roomy) == n_moves
-        assert moves_with_log(level, cap) == full_rescan_level(*level, cap)[2]
-        got_comm, got_moves = _run_level(*level, cap=cap)
+        # a log bounded by the oracle's count first, so a kernel that never
+        # settles fails, not hangs
+        log = BoundedLog(n_moves)
+        assert kernel_comm(level, log) == comm
+        assert [v for move in log for v in move] == moves
+        got_comm, got_moves = _run_level(*level)
+        assert got_comm.dtype == got_moves.dtype == np.int64
+        assert got_moves.shape == (n_moves, 3)
         assert got_comm.tolist() == comm
         assert got_moves.ravel().tolist() == moves
 

@@ -220,6 +220,10 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             WeightVector(0.5, 0.5, 0.5, 0.5)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            WeightVector(float("nan"), 0.0, 0.0, 1.0)
+
     def test_dict_follows_feature_order(self):
         w = WeightVector(0.1, 0.2, 0.3, 0.4)
         assert list(w.as_dict()) == list(FEATURES)
