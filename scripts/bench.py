@@ -18,9 +18,10 @@ the others.
 parent commit, unpacked with ``git archive``) with its own
 ``perfbench/run.py``.  The two alternate run by run, the side that goes
 first switching with every seed, and its file is written here as
-``bench/BENCH_<against-label>.json``.  A table then gives, per end-to-end
-metric, both medians, the second checkout's interquartile distance and
-the number of seeds on which this checkout did better.
+``bench/BENCH_<against-label>.json``; the two labels must differ.  A
+table then gives, per end-to-end metric, both medians, the second
+checkout's interquartile distance and the number of seeds on which this
+checkout did better.
 """
 
 from __future__ import annotations
@@ -124,6 +125,8 @@ def main(argv=None) -> int:
     if args.against is not None:
         if not (args.against / "perfbench" / "run.py").is_file():
             ap.error(f"{args.against} has no perfbench/run.py")
+        if args.against_label == args.label:   # one results list, one BENCH file
+            ap.error(f"--against-label must differ from --label ({args.label!r})")
         sides.append((args.against_label, args.against.resolve()))
     results = {label: {w: [] for w in args.workloads} for label, _ in sides}
     for workload in args.workloads:

@@ -270,7 +270,8 @@ def cmd_cluster(args) -> int:
 def cmd_optimize(args) -> int:
     ds = _load(args)
     t = _tensor(ds, args.cache)
-    trace = optimize_weights(t, ds, _search_cfg(args))
+    # without --out only the result is printed, so the search may stop at zero error
+    trace = optimize_weights(t, ds, _search_cfg(args), stop_at_zero=not args.out)
     print(f"best_error {trace.best_error:.4f}  accuracy {1 - trace.best_error:.4f}")
     print("weights " + "  ".join(
         f"{k}={v:.4f}" for k, v in trace.best_weights.as_dict().items()))

@@ -146,7 +146,8 @@ def kfold_crossval(ds: Dataset, k: int, cfg: OptimizerConfig,
                    tensor: SimilarityTensor) -> CrossValReport:
     """Stratified K-fold: learn weights on training samples, predict the rest.
 
-    Per fold, weights are optimized on the training-only sub-tensor; the
+    Per fold, weights are optimized on the training-only sub-tensor (the
+    search stops at its first zero error, see optimize_weights); the
     prediction graph then spans training and test nodes together, but only
     training nodes vote when communities are labeled.  A test node whose
     community is Unlabeled counts as a miss.
@@ -161,7 +162,7 @@ def kfold_crossval(ds: Dataset, k: int, cfg: OptimizerConfig,
         sub_ds = ds.subset(ds.ids[i] for i in train_idx)
         sub_t = tensor.subset(train_idx)
         fold_cfg = replace(cfg, seed=derive_seed(cfg.seed, _OPT_SALT, f))
-        trace = optimize_weights(sub_t, sub_ds, fold_cfg)
+        trace = optimize_weights(sub_t, sub_ds, fold_cfg, stop_at_zero=True)
 
         _, p = cluster(tensor, ds, trace.best_weights, cfg.threshold,
                        derive_seed(cfg.seed, _PRED_SALT, f), sub_ds.labeled_ids)

@@ -89,14 +89,21 @@ def propose_weights(rng: np.random.Generator, base: WeightVector,
     return WeightVector.from_array(arr / total)
 
 
-def optimize_weights(t: SimilarityTensor, ds: Dataset,
-                     cfg: OptimizerConfig) -> OptimizerTrace:
+def optimize_weights(t: SimilarityTensor, ds: Dataset, cfg: OptimizerConfig,
+                     *, stop_at_zero: bool = False) -> OptimizerTrace:
     """Error-driven greedy search for fusion weights.
 
-    Runs exactly cfg.iterations proposals after scoring equal weights
-    (recorded as iteration 0).  The Louvain seed for iteration i
-    derives from (cfg.seed, i), so a proposal's score never depends on
-    which earlier proposals were accepted.
+    Scores equal weights (recorded as iteration 0), then runs
+    cfg.iterations proposals, or fewer with ``stop_at_zero`` (below).
+    The Louvain seed for iteration i derives from (cfg.seed, i), so a
+    proposal's score never depends on which earlier proposals were
+    accepted.
+
+    A proposal is accepted only on a strict error decrease, and error is
+    never below 0, so once best_error is 0.0 no later proposal can change
+    best_weights or best_error.  With ``stop_at_zero`` the search ends
+    there, for callers that read only those two: its history is the
+    full search's history up to that entry, and the result is identical.
     """
     rng = np.random.default_rng(cfg.seed % (2 ** 64))
     best_w = WeightVector.equal()
@@ -104,6 +111,8 @@ def optimize_weights(t: SimilarityTensor, ds: Dataset,
                                 derive_seed(cfg.seed, 0))
     history = [TraceEntry(0, best_w, best_err, True)]
     for it in range(1, cfg.iterations + 1):
+        if stop_at_zero and best_err == 0.0:
+            break
         cand = propose_weights(rng, best_w, cfg.learning_rate)
         err = clustering_error(t, ds, cand, cfg.threshold,
                                derive_seed(cfg.seed, it))
@@ -131,15 +140,18 @@ def threshold_sweep(t: SimilarityTensor, ds: Dataset, cfg: OptimizerConfig,
                     thresholds) -> SweepReport:
     """Independent optimize_weights run per threshold.
 
-    accuracy = 1 − best_error at that threshold; best_threshold is the
-    argmax, ties going to the earliest listed threshold.
+    Each search stops at its first zero error (``stop_at_zero``), which
+    leaves its best weights and error as a full search's.  accuracy =
+    1 − best_error at that threshold; best_threshold is the argmax, ties
+    going to the earliest listed threshold.
     """
     thresholds = [float(th) for th in thresholds]
     if not thresholds:
         raise ValueError("thresholds must be non-empty")
     points = []
     for th in thresholds:
-        trace = optimize_weights(t, ds, replace(cfg, threshold=th))
+        trace = optimize_weights(t, ds, replace(cfg, threshold=th),
+                                 stop_at_zero=True)
         points.append(SweepPoint(th, trace.best_weights, 1.0 - trace.best_error))
     best = int(np.argmax([p.accuracy for p in points]))
     return SweepReport(tuple(points), points[best].threshold)

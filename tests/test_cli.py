@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import simnet.optimizer
 from simnet import (FEATURES, SimilarityTensor, WeightVector,
                     build_similarity_tensor, classify, derive_seed,
                     generate_planted, load_dataset, save_dataset)
@@ -223,6 +224,27 @@ class TestCommands:
         assert rows[0]["accepted"] is True
         assert all(set(r) == {"iteration", "weights", "error", "accepted"}
                    for r in rows)
+
+    def test_optimize_stdout_same_with_and_without_out(self, dataset_path,
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+        # at 90% this corpus is at zero error from iteration 0: without
+        # --out the search stops there, with --out it scores every proposal
+        real, calls = simnet.optimizer.cluster, []
+        monkeypatch.setattr(simnet.optimizer, "cluster",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        argv = ["optimize", "--dataset", str(dataset_path), "--iterations", "6"]
+        trace = tmp_path / "trace.jsonl"
+        assert main([*argv, "--out", str(trace)]) == EXIT_OK
+        full_out = capsys.readouterr().out
+        assert len(calls) == 7
+        assert len(trace.read_text().splitlines()) == 7
+        assert full_out.startswith("best_error 0.0000")
+
+        calls.clear()
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == full_out
+        assert len(calls) == 1
 
     def test_sweep_outputs_every_point(self, dataset_path, tmp_path, capsys):
         out = tmp_path / "sweep.json"

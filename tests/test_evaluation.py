@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import simnet.community
+import simnet.evaluation
 from simnet import (Dataset, OptimizerConfig, Sample, StratificationError,
                     WeightVector, build_graph, build_similarity_tensor,
                     classify, clustering_error, generate_planted,
@@ -275,6 +276,29 @@ class TestKFoldCrossval:
         mean = sum(r.prediction_accuracy for r in rep.per_fold) / 3
         assert rep.mean_prediction_accuracy == pytest.approx(mean, abs=1e-12)
         assert [r.fold for r in rep.per_fold] == [0, 1, 2]
+
+    def test_equals_full_search_per_fold(self, small_ds, small_tensor,
+                                         monkeypatch):
+        # at 0.88 folds 0 and 1 never reach zero error; fold 2 does mid-search
+        cfg = OptimizerConfig(iterations=25, learning_rate=0.05,
+                              threshold=0.88, seed=2)
+        real = simnet.evaluation.optimize_weights
+        lengths = []
+
+        def recording(*args, **kwargs):
+            trace = real(*args, **kwargs)
+            lengths.append(len(trace.history))
+            return trace
+
+        monkeypatch.setattr(simnet.evaluation, "optimize_weights", recording)
+        stopped = kfold_crossval(small_ds, 3, cfg, tensor=small_tensor)
+        assert lengths[:2] == [cfg.iterations + 1] * 2
+        assert 1 < lengths[2] < cfg.iterations + 1
+        assert stopped.per_fold[2].classification_accuracy == 1.0
+
+        monkeypatch.setattr(simnet.evaluation, "optimize_weights",
+                            lambda t, ds, fold_cfg, **kw: real(t, ds, fold_cfg))
+        assert stopped == kfold_crossval(small_ds, 3, cfg, tensor=small_tensor)
 
     def test_mismatched_tensor_rejected(self, small_ds, small_tensor, fast_cfg):
         reordered = Dataset(tuple(reversed(small_ds.samples)))

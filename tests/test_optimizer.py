@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import simnet.optimizer
 import simnet.similarity as sim
 from simnet import (Dataset, NoLabeledSamplesError, OptimizerConfig, Sample,
                     WeightVector, build_similarity_tensor, clustering_error,
@@ -187,6 +188,73 @@ class TestOptimizeWeights:
         assert baseline > 0.05          # equal weights genuinely hurt here
         assert trace.best_error < baseline
         assert trace.best_weights.w_file < 0.25
+
+
+def _count_cluster_calls(monkeypatch):
+    """Patch the optimizer's cluster with a counting wrapper; returns the count."""
+    calls = [0]
+    real = simnet.optimizer.cluster
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simnet.optimizer, "cluster", counting)
+    return calls
+
+
+class TestStopAtZero:
+    # corpus 7 at 0.90, seed 0: first zero error at iteration 38
+    CFG = OptimizerConfig(iterations=60, learning_rate=0.05, threshold=0.90,
+                          seed=0)
+    FIRST_ZERO = 38
+
+    @pytest.fixture(scope="class")
+    def full(self, planted_ds, planted_tensor):
+        return optimize_weights(planted_tensor, planted_ds, self.CFG)
+
+    def test_full_search_reaches_zero_at_iteration_38(self, full):
+        errors = [e.error for e in full.history]
+        assert len(full.history) == self.CFG.iterations + 1
+        assert errors.index(0.0) == self.FIRST_ZERO
+
+    def test_stopped_search_keeps_result_and_history_prefix(
+            self, planted_ds, planted_tensor, full, monkeypatch):
+        calls = _count_cluster_calls(monkeypatch)
+        stopped = optimize_weights(planted_tensor, planted_ds, self.CFG,
+                                   stop_at_zero=True)
+        assert stopped.best_weights == full.best_weights
+        assert stopped.best_error == full.best_error == 0.0
+        assert stopped.history == full.history[:self.FIRST_ZERO + 1]
+        assert calls[0] == self.FIRST_ZERO + 1   # nothing scored after it
+
+    @pytest.mark.parametrize("threshold", [0.90, 0.95])
+    def test_search_that_never_reaches_zero_runs_every_iteration(
+            self, small_ds, small_tensor, threshold):
+        cfg = OptimizerConfig(iterations=25, learning_rate=0.05,
+                              threshold=threshold, seed=2)
+        full = optimize_weights(small_tensor, small_ds, cfg)
+        stopped = optimize_weights(small_tensor, small_ds, cfg,
+                                   stop_at_zero=True)
+        assert stopped.best_error > 0.0
+        assert len(stopped.history) == cfg.iterations + 1
+        assert stopped == full
+
+    def test_sweep_equals_full_search_per_threshold(self, small_ds,
+                                                    small_tensor, monkeypatch):
+        # 0.85 is at zero error from iteration 0, 0.90 never gets there
+        from dataclasses import replace
+        cfg = OptimizerConfig(iterations=25, learning_rate=0.05, seed=2)
+        ths = [0.85, 0.90]
+        full = [optimize_weights(small_tensor, small_ds,
+                                 replace(cfg, threshold=th)) for th in ths]
+        calls = _count_cluster_calls(monkeypatch)
+        rep = threshold_sweep(small_tensor, small_ds, cfg, ths)
+        assert calls[0] == 1 + (cfg.iterations + 1)
+        assert [(p.threshold, p.best_weights, p.accuracy) for p in rep.points] \
+            == [(th, tr.best_weights, 1.0 - tr.best_error)
+                for th, tr in zip(ths, full)]
+        assert rep.best_threshold == 0.85
 
 
 class TestDeriveSeed:
