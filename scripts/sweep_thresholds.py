@@ -11,8 +11,7 @@ this script shows where that trade stops paying.
 import argparse
 
 from simnet import (OptimizerConfig, build_similarity_tensor, classify,
-                    derive_seed, generate_planted, optimize_weights,
-                    threshold_sweep, unlabeled_report)
+                    derive_seed, generate_planted, threshold_sweep)
 from simnet.evaluation import CLASSIFY_SALT
 
 
@@ -47,14 +46,16 @@ def main():
     isolated_everywhere = set(reports[0].no_connection_ids)
     for rep in reports[1:]:
         isolated_everywhere &= set(rep.no_connection_ids)
-    rows = unlabeled_report(reports, isolated_everywhere)
+    # an isolated sample is a singleton community, and a singleton is
+    # Unlabeled, so every labeled one is an error at every threshold
+    no_conn = len(isolated_everywhere.intersection(ds.labeled_ids))
 
     print(f"{'thr%':>5} {'accuracy':>9} {'errors':>7} {'unlabeled':>10} "
           f"{'no-conn':>8}")
-    for pt, row in zip(sweep.points, rows):
+    for pt, rep in zip(sweep.points, reports):
+        errors = len(ds.labeled_ids) - int(rep.confusion.trace())
         print(f"{pt.threshold * 100:5.1f} {pt.accuracy:9.4f} "
-              f"{row.errors:7d} {row.unlabeled_errors:10d} "
-              f"{row.no_connection_errors:8d}")
+              f"{errors:7d} {rep.unlabeled_count:10d} {no_conn:8d}")
     print(f"\nbest threshold {sweep.best_threshold * 100:.1f} "
           f"(accuracy {max(pt.accuracy for pt in sweep.points):.4f})")
     if isolated_everywhere:

@@ -12,10 +12,9 @@ from .dataset import (Dataset, DatasetError, ParseError, Sample,
                       ValidationError, generate_planted, load_dataset,
                       save_dataset)
 from .evaluation import (ClusteringReport, CrossValReport, FoldResult,
-                         StratificationError, UnlabeledBreakdown, classify,
-                         kfold_crossval, report_from_partition,
-                         stratified_folds, unlabeled_report)
-from .netgraph import DegreeReport, SimilarityGraph, build_graph, degree_report
+                         StratificationError, classify, kfold_crossval,
+                         report_from_partition, stratified_folds)
+from .netgraph import SimilarityGraph, build_graph
 from .optimizer import (NoLabeledSamplesError, OptimizerConfig,
                         OptimizerTrace, SweepPoint, SweepReport, TraceEntry,
                         clustering_error, derive_seed, optimize_weights,
@@ -35,13 +34,12 @@ __all__ = [
     "WeightVector",
     "nilsimsa_digest", "nilsimsa_compare", "api_similarity", "jaccard",
     "build_similarity_tensor", "final_similarity", "fused_matrix",
-    "SimilarityGraph", "DegreeReport", "build_graph", "degree_report",
+    "SimilarityGraph", "build_graph",
     "Partition", "ModularityUndefinedError", "modularity", "louvain",
     "label_communities",
     "OptimizerConfig", "OptimizerTrace", "TraceEntry", "SweepPoint",
     "SweepReport", "NoLabeledSamplesError", "clustering_error",
     "optimize_weights", "propose_weights", "threshold_sweep", "derive_seed",
     "ClusteringReport", "CrossValReport", "FoldResult", "StratificationError",
-    "UnlabeledBreakdown", "classify", "report_from_partition",
-    "kfold_crossval", "stratified_folds", "unlabeled_report",
+    "classify", "report_from_partition", "kfold_crossval", "stratified_folds",
 ]

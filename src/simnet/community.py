@@ -301,28 +301,6 @@ def louvain(g: SimilarityGraph, seed: int, track: bool = False) -> Partition:
 # Labeling
 # ---------------------------------------------------------------------------
 
-def plurality_label_codes(membership, sizes, node_codes, voter_mask,
-                          n_comms: int) -> np.ndarray:
-    """Per-community plurality of voter family codes.
-
-    -1 where a community is a singleton or has no voters; ties go to the
-    smallest code.
-    """
-    lab = np.full(n_comms, -1, dtype=np.int64)
-    vm = voter_mask & (node_codes >= 0)
-    if vm.any():
-        n_fams = int(node_codes[vm].max()) + 1
-        key = membership[vm] * np.int64(n_fams) + node_codes[vm]
-        pairs, counts = np.unique(key, return_counts=True)
-        cs, fs = pairs // n_fams, pairs % n_fams
-        order = np.lexsort((fs, -counts, cs))
-        firsts = np.ones(len(order), dtype=bool)
-        firsts[1:] = cs[order][1:] != cs[order][:-1]
-        lab[cs[order][firsts]] = fs[order][firsts]
-    lab[sizes <= 1] = -1
-    return lab
-
-
 def label_communities(p: Partition, ds: Dataset, voters: Iterable[str]) -> Partition:
     """Label each community with the plurality family among its voters.
 
@@ -333,10 +311,20 @@ def label_communities(p: Partition, ds: Dataset, voters: Iterable[str]) -> Parti
     rows = ds.indices_of(p.node_ids)
     is_voter = np.zeros(len(ds), dtype=bool)
     is_voter[ds.indices_of(voters)] = True
+    node_codes = ds.family_codes[rows]
+    vm = is_voter[rows] & (node_codes >= 0)
     n_comms = p.n_communities
-    sizes = np.bincount(p.membership, minlength=n_comms)
-    codes = plurality_label_codes(p.membership, sizes, ds.family_codes[rows],
-                                  is_voter[rows], n_comms)
+    codes = np.full(n_comms, -1, dtype=np.int64)
+    if vm.any():
+        n_fams = int(node_codes[vm].max()) + 1
+        key = p.membership[vm] * np.int64(n_fams) + node_codes[vm]
+        pairs, counts = np.unique(key, return_counts=True)
+        cs, fs = pairs // n_fams, pairs % n_fams
+        order = np.lexsort((fs, -counts, cs))
+        firsts = np.ones(len(order), dtype=bool)
+        firsts[1:] = cs[order][1:] != cs[order][:-1]
+        codes[cs[order][firsts]] = fs[order][firsts]
+    codes[np.bincount(p.membership, minlength=n_comms) <= 1] = -1
     return replace(p, label_codes=codes, families=ds.families)
 
 

@@ -1,4 +1,4 @@
-"""Accuracy reports, stratified K-fold cross-validation, and diagnostics."""
+"""Accuracy reports and stratified K-fold cross-validation."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from .community import Partition, cluster
 from .dataset import Dataset
-from .netgraph import SimilarityGraph, degree_report
+from .netgraph import SimilarityGraph
 from .optimizer import (NoLabeledSamplesError, OptimizerConfig, derive_seed,
                         optimize_weights)
 from .similarity import SimilarityTensor, WeightVector
@@ -58,7 +58,6 @@ class ClusteringReport:
     weights: WeightVector
     threshold: float
     predictions: dict[str, str]
-    error_ids: tuple[str, ...]
 
     def confusion_dict(self) -> dict[str, dict[str, int]]:
         return {fam: {col: int(self.confusion[i, j])
@@ -91,12 +90,12 @@ def report_from_partition(g: SimilarityGraph, p: Partition,
         columns=columns,
         confusion=confusion,
         unlabeled_count=int(confusion[:, n_fams].sum()),
-        no_connection_ids=degree_report(g).isolated,
+        no_connection_ids=tuple(g.node_ids[i]
+                                for i in np.flatnonzero(g.degrees() == 0)),
         modularity=p.modularity,
         weights=g.weights_used,
         threshold=g.threshold,
         predictions={nid: columns[c] for nid, c in zip(labeled, col.tolist())},
-        error_ids=tuple(labeled[i] for i in np.flatnonzero(truth != col)),
     )
 
 
@@ -176,30 +175,3 @@ def kfold_crossval(ds: Dataset, k: int, cfg: OptimizerConfig,
         ))
     mean = sum(r.prediction_accuracy for r in per_fold) / k
     return CrossValReport(k, tuple(per_fold), mean)
-
-
-@dataclass(frozen=True)
-class UnlabeledBreakdown:
-    threshold: float
-    errors: int
-    unlabeled_errors: int
-    no_connection_errors: int
-
-    @property
-    def unlabeled_fraction(self) -> float:
-        return self.unlabeled_errors / self.errors if self.errors else 0.0
-
-    @property
-    def no_connection_fraction(self) -> float:
-        return self.no_connection_errors / self.errors if self.errors else 0.0
-
-
-def unlabeled_report(reports, known_no_connection) -> tuple[UnlabeledBreakdown, ...]:
-    """Attribute each report's errors to Unlabeled communities / known isolates."""
-    known = set(known_no_connection)
-    out = []
-    for r in reports:
-        unl = sum(1 for nid in r.error_ids if r.predictions[nid] == UNLABELED)
-        noconn = sum(1 for nid in r.error_ids if nid in known)
-        out.append(UnlabeledBreakdown(r.threshold, len(r.error_ids), unl, noconn))
-    return tuple(out)

@@ -82,17 +82,3 @@ def build_graph(t: SimilarityTensor, w: WeightVector,
     keep = fs > threshold
     return SimilarityGraph(t.sample_order, iu[keep], ju[keep],
                            fs[keep], threshold, w)
-
-
-@dataclass(frozen=True)
-class DegreeReport:
-    degrees: dict[str, int]
-    isolated: tuple[str, ...]
-
-
-def degree_report(g: SimilarityGraph) -> DegreeReport:
-    """Per-node degrees plus the degree-0 (no-connection) node list."""
-    deg = g.degrees()
-    degrees = {nid: int(d) for nid, d in zip(g.node_ids, deg)}
-    isolated = tuple(nid for nid, d in zip(g.node_ids, deg) if d == 0)
-    return DegreeReport(degrees, isolated)

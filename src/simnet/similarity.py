@@ -382,11 +382,15 @@ class SimilarityTensor:
             n, order = cls._read_header(fh.readline())
             size = 8 * _row_start(n, n)
             vecs = []
-            for _ in FEATURES:
+            for name in FEATURES:
                 buf = fh.read(size)
                 if len(buf) != size:
                     raise ValueError("corrupt tensor cache: truncated feature block")
-                vecs.append(np.frombuffer(buf, dtype=np.float64).copy())
+                v = np.frombuffer(buf, dtype=np.float64).copy()
+                # NaN fails both comparisons
+                if not ((v >= 0.0) & (v <= 1.0)).all():
+                    raise ValueError(f"corrupt tensor cache: {name} value outside [0, 1]")
+                vecs.append(v)
             if fh.read(1):
                 raise ValueError("corrupt tensor cache: trailing bytes after the last block")
         return cls(order, *vecs)

@@ -9,7 +9,6 @@ exact.  The final check needs a real corpus on disk and skips unless
 import os
 import random
 import time
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np

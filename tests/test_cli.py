@@ -10,7 +10,7 @@ from simnet import (FEATURES, SimilarityTensor, WeightVector,
                     generate_planted, load_dataset, save_dataset)
 from simnet.cli import (EXIT_DATA, EXIT_OK, EXIT_PIPELINE, _threshold_list_arg,
                         build_parser, main, parse_threshold, parse_weights)
-from test_similarity import CORRUPT_HEADERS
+from test_similarity import CORRUPT_HEADERS, OUT_OF_RANGE, patch_pair
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +119,22 @@ class TestExitCodes:
                                                     capsys, command, line):
         cache = tmp_path / "tensor.bin"
         cache.write_bytes(line + b"\n" + bytes(64))
+        argv = [command, "--dataset", str(dataset_path), "--cache", str(cache)]
+        if command == "pipeline":
+            argv += ["--iterations", "1", "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert "corrupt tensor cache" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", OUT_OF_RANGE)
+    @pytest.mark.parametrize("command", ["similarity", "pipeline"])
+    def test_out_of_range_cache_value_is_pipeline_error(self, dataset_path,
+                                                        tmp_path, capsys,
+                                                        command, value):
+        cache = tmp_path / "tensor.bin"
+        assert main(["similarity", "--dataset", str(dataset_path),
+                     "--cache", str(cache)]) == EXIT_OK
+        patch_pair(cache, value)
         argv = [command, "--dataset", str(dataset_path), "--cache", str(cache)]
         if command == "pipeline":
             argv += ["--iterations", "1", "--out", str(tmp_path / "out")]

@@ -11,7 +11,7 @@ from simnet import (Dataset, OptimizerConfig, Sample, StratificationError,
                     WeightVector, build_graph, build_similarity_tensor,
                     classify, clustering_error, generate_planted,
                     kfold_crossval, label_communities, louvain,
-                    report_from_partition, stratified_folds, unlabeled_report)
+                    report_from_partition, stratified_folds)
 from simnet.community import Partition
 from simnet.evaluation import UNLABELED
 
@@ -69,16 +69,14 @@ def reference_report(p, ds):
     confusion = np.zeros((len(families), len(columns)), dtype=np.int64)
     row = {nid: i for i, nid in enumerate(p.node_ids)}
     labels = p.community_labels
-    predictions, error_ids = {}, []
+    predictions = {}
     for nid in ds.labeled_ids:
         fam = ds[nid].family
         lab = labels[int(p.membership[row[nid]])]
         pred = lab if lab is not None else UNLABELED
         predictions[nid] = pred
         confusion[row_idx[fam], col_idx[pred]] += 1
-        if pred != fam:
-            error_ids.append(nid)
-    return confusion, predictions, tuple(error_ids)
+    return confusion, predictions
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +91,6 @@ class TestClassify:
         rep = classify(t, ds, WeightVector.equal(), 0.9, seed=0)
         assert rep.accuracy == 1.0
         assert rep.unlabeled_count == 0
-        assert rep.error_ids == ()
         expected = np.zeros((3, 4), dtype=np.int64)
         np.fill_diagonal(expected, 8)
         assert np.array_equal(rep.confusion, expected)
@@ -115,7 +112,6 @@ class TestClassify:
             "famB": {"famA": 0, "famB": 6, UNLABELED: 0},
         }
         assert rep.accuracy == 11 / 12
-        assert rep.error_ids == ("a5",)
         assert rep.predictions["a5"] == UNLABELED
         assert rep.no_connection_ids == ("a5",)
         assert rep.unlabeled_count == 1
@@ -129,12 +125,16 @@ class TestClassify:
 
     def test_accuracy_complements_clustering_error_exactly(
             self, planted_ds, planted_tensor):
+        unlabeled = []
         for th in (0.85, 0.90, 0.95):
             rep = classify(planted_tensor, planted_ds, WeightVector.equal(),
                            th, seed=5)
             err = clustering_error(planted_tensor, planted_ds,
                                    WeightVector.equal(), th, seed=5)
             assert rep.accuracy + err == 1.0
+            unlabeled.append(rep.unlabeled_count)
+        # a tighter threshold strictly grows the Unlabeled error mass here
+        assert unlabeled[2] > unlabeled[0]
 
     def test_report_rejects_partition_out_of_dataset_order(self, clean_ds):
         ds, t = clean_ds
@@ -180,10 +180,9 @@ class TestClassify:
             for voters in (ds.labeled_ids, subset):
                 p = label_communities(fixed_louvain(g, 0), ds, voters)
                 rep = report_from_partition(g, p, ds)
-                confusion, predictions, error_ids = reference_report(p, ds)
+                confusion, predictions = reference_report(p, ds)
                 assert np.array_equal(rep.confusion, confusion)
                 assert rep.predictions == predictions
-                assert rep.error_ids == error_ids
                 assert rep.unlabeled_count == int(confusion[:, -1].sum())
                 assert rep.accuracy == (reference_correct(p, ds, ds.labeled_ids)
                                         / len(ds.labeled_ids))
@@ -322,36 +321,3 @@ class TestKFoldCrossval:
         # comes from mates, not self-votes
         assert rep.mean_prediction_accuracy == 1.0
 
-
-class TestUnlabeledReport:
-    def test_perfect_run_has_no_errors(self, clean_ds):
-        ds, t = clean_ds
-        rep = classify(t, ds, WeightVector.equal(), 0.9, seed=0)
-        (row,) = unlabeled_report([rep], rep.no_connection_ids)
-        assert row.errors == 0
-        assert row.unlabeled_fraction == 0.0
-        assert row.no_connection_fraction == 0.0
-
-    def test_threshold_one_all_errors_are_unlabeled_isolates(self, clean_ds):
-        ds, t = clean_ds
-        rep = classify(t, ds, WeightVector.equal(), 1.0, seed=0)
-        (row,) = unlabeled_report([rep], rep.no_connection_ids)
-        assert row.threshold == 1.0
-        assert row.errors == len(ds)
-        assert row.unlabeled_fraction == 1.0
-        assert row.no_connection_fraction == 1.0
-
-    def test_odd_one_out_attribution(self, odd_report):
-        ds, rep = odd_report
-        (row,) = unlabeled_report([rep], rep.no_connection_ids)
-        assert row.errors == 1
-        assert row.unlabeled_errors == 1
-        assert row.no_connection_errors == 1
-
-    def test_one_row_per_report_in_order(self, planted_ds, planted_tensor):
-        reps = [classify(planted_tensor, planted_ds, WeightVector.equal(), th,
-                         seed=0) for th in (0.85, 0.95)]
-        rows = unlabeled_report(reps, reps[1].no_connection_ids)
-        assert [r.threshold for r in rows] == [0.85, 0.95]
-        # tighter threshold strictly grows the unlabeled error mass here
-        assert rows[1].unlabeled_errors > rows[0].unlabeled_errors

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from simnet import (SimilarityGraph, SimilarityTensor, WeightVector,
-                    build_graph, degree_report, final_similarity)
+                    build_graph, final_similarity)
+from simnet.community import cluster
+from simnet.evaluation import report_from_partition
 
 
 @pytest.fixture
@@ -88,20 +90,18 @@ class TestDegreeReport:
     def test_complete_graph_has_no_isolates(self):
         g = SimilarityGraph.from_edges(
             tuple("abc"), [(0, 1, 0.9), (0, 2, 0.9), (1, 2, 0.9)])
-        rep = degree_report(g)
-        assert rep.isolated == ()
-        assert rep.degrees == {"a": 2, "b": 2, "c": 2}
+        assert g.degrees().tolist() == [2, 2, 2]
 
     def test_threshold_one_isolates_everything(self, three_node_tensor):
         g = build_graph(three_node_tensor, WeightVector.equal(), 1.0)
-        assert degree_report(g).isolated == ("x", "y", "z")
+        assert g.degrees().tolist() == [0, 0, 0]
 
-    def test_isolates_match_brute_force_over_tensor(self, small_tensor):
+    def test_isolates_match_brute_force_over_tensor(self, small_ds, small_tensor):
         w = WeightVector.equal()
         th = 0.9
-        g = build_graph(small_tensor, w, th)
+        g, p = cluster(small_tensor, small_ds, w, th, seed=0)
         n = small_tensor.n
         expected = tuple(small_tensor.sample_order[i] for i in range(n)
                          if not any(final_similarity(small_tensor, w, i, j) > th
                                     for j in range(n) if j != i))
-        assert degree_report(g).isolated == expected
+        assert report_from_partition(g, p, small_ds).no_connection_ids == expected

@@ -270,6 +270,19 @@ class TestFinalSimilarity:
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+# Pair values that must be reported as a corrupt cache wherever they appear.
+OUT_OF_RANGE = [float("nan"), float("inf"), -0.25, 1.5]
+
+
+def patch_pair(path, value, feature=0, pair=0):
+    """Overwrite one pair value of a saved cache in place."""
+    raw = bytearray(path.read_bytes())
+    n = json.loads(raw[:raw.index(b"\n")])["n"]
+    at = raw.index(b"\n") + 1 + 8 * (feature * (n * (n - 1) // 2) + pair)
+    raw[at:at + 8] = np.float64(value).tobytes()
+    path.write_bytes(bytes(raw))
+
+
 class TestTensor:
     def test_single_sample(self):
         ds = Dataset((make_sample("only", ["a.b"], {"p"}, {"a"}, {"f"}),))
@@ -349,6 +362,17 @@ class TestTensor:
         small_tensor.save(path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="corrupt tensor cache: trailing bytes"):
+            SimilarityTensor.load(path)
+
+    @pytest.mark.parametrize("value", OUT_OF_RANGE)
+    @pytest.mark.parametrize("feature", range(len(FEATURES)))
+    def test_value_outside_unit_interval_rejected(self, small_tensor, tmp_path,
+                                                  feature, value):
+        path = tmp_path / "t.bin"
+        small_tensor.save(path)
+        patch_pair(path, value, feature, pair=feature * 97)
+        with pytest.raises(ValueError, match="corrupt tensor cache: "
+                           f"{FEATURES[feature]} value outside"):
             SimilarityTensor.load(path)
 
     def test_failed_save_leaves_previous_cache_intact(self, small_tensor, tmp_path):
