@@ -13,11 +13,11 @@ from pathlib import Path
 
 from simnet import (OptimizerConfig, build_similarity_tensor, classify,
                     derive_seed, generate_planted, kfold_crossval,
-                    optimize_weights, save_dataset)
+                    optimize_weights, save_dataset, stratified_folds)
 from simnet.evaluation import CLASSIFY_SALT
 
 
-def parse_args():
+def build_parser():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--families", type=int, default=8)
     ap.add_argument("--per-family", type=int, default=50)
@@ -30,13 +30,21 @@ def parse_args():
     ap.add_argument("--k", type=int, default=5, help="cross-validation folds")
     ap.add_argument("--save-dataset", type=Path, default=None,
                     help="also write the generated corpus as JSONL")
-    return ap.parse_args()
+    return ap
 
 
 def main():
-    args = parse_args()
-    ds = generate_planted(args.families, args.per_family, args.mutation_rate,
-                          args.data_seed)
+    ap = build_parser()
+    args = ap.parse_args()
+    # every value is checked before the tensor build and the search
+    try:
+        ds = generate_planted(args.families, args.per_family,
+                              args.mutation_rate, args.data_seed)
+        cfg = OptimizerConfig(iterations=args.iterations, learning_rate=args.lr,
+                              threshold=args.threshold, seed=args.seed)
+        stratified_folds(ds, args.k, cfg.seed)
+    except ValueError as e:
+        ap.error(str(e))
     if args.save_dataset:
         save_dataset(ds, args.save_dataset)
         print(f"dataset  -> {args.save_dataset}")
@@ -45,8 +53,6 @@ def main():
     tensor = build_similarity_tensor(ds)
     print(f"tensor   {tensor.n} samples in {time.perf_counter() - t0:.2f}s")
 
-    cfg = OptimizerConfig(iterations=args.iterations, learning_rate=args.lr,
-                          threshold=args.threshold, seed=args.seed)
     t0 = time.perf_counter()
     trace = optimize_weights(tensor, ds, cfg)
     accepted = sum(1 for e in trace.history[1:] if e.accepted)

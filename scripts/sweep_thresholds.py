@@ -9,13 +9,14 @@ this script shows where that trade stops paying.
 """
 
 import argparse
+from dataclasses import replace
 
 from simnet import (OptimizerConfig, build_similarity_tensor, classify,
                     derive_seed, generate_planted, threshold_sweep)
 from simnet.evaluation import CLASSIFY_SALT
 
 
-def parse_args():
+def build_parser():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--families", type=int, default=8)
     ap.add_argument("--per-family", type=int, default=50)
@@ -26,17 +27,26 @@ def parse_args():
     ap.add_argument("--hi", type=int, default=95, help="highest threshold, percent")
     ap.add_argument("--iterations", type=int, default=200)
     ap.add_argument("--lr", type=float, default=0.05)
-    return ap.parse_args()
+    return ap
 
 
 def main():
-    args = parse_args()
-    ds = generate_planted(args.families, args.per_family, args.mutation_rate,
-                          args.data_seed)
+    ap = build_parser()
+    args = ap.parse_args()
+    # every value is checked before the tensor build and the searches
+    try:
+        ds = generate_planted(args.families, args.per_family,
+                              args.mutation_rate, args.data_seed)
+        cfg = OptimizerConfig(iterations=args.iterations, learning_rate=args.lr,
+                              seed=args.seed)
+        thresholds = [pct / 100.0 for pct in range(args.lo, args.hi + 1)]
+        if not thresholds:
+            raise ValueError(f"empty threshold range: {args.lo}-{args.hi}")
+        for th in thresholds:
+            replace(cfg, threshold=th)  # rejects one outside [0, 1]
+    except ValueError as e:
+        ap.error(str(e))
     tensor = build_similarity_tensor(ds)
-    cfg = OptimizerConfig(iterations=args.iterations, learning_rate=args.lr,
-                          seed=args.seed)
-    thresholds = [pct / 100.0 for pct in range(args.lo, args.hi + 1)]
     sweep = threshold_sweep(tensor, ds, cfg, thresholds)
 
     # rescore each point's learned weights to attribute its errors

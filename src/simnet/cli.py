@@ -2,6 +2,9 @@
 optimize, sweep, cross-validate, and export viewer-ready graph files.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 pipeline error.
+A malformed or out-of-range option value, search options included, is a
+usage error: it fails before any work with ``simnet <command>: error: ...``.
+Every exit-3 error prints ``simnet: error: <cause>``.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from pathlib import Path
 
 from .community import Partition, cluster
 from .dataset import Dataset, DatasetError, generate_planted, load_dataset, save_dataset
-from .evaluation import (CLASSIFY_SALT, ClusteringReport, kfold_crossval,
-                         report_from_partition)
+from .evaluation import (CLASSIFY_SALT, UNLABELED, ClusteringReport,
+                         kfold_crossval, report_from_partition)
 from .netgraph import SimilarityGraph
 from .optimizer import (OptimizerConfig, OptimizerTrace, derive_seed,
                         optimize_weights, threshold_sweep)
@@ -30,13 +33,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PIPELINE = 3
 
-
-class PipelineError(Exception):
-    """A pipeline stage failed; message names the stage."""
-
-    def __init__(self, stage: str, reason: str):
-        self.stage = stage
-        super().__init__(f"{stage}: {reason}")
+_DEFAULTS = OptimizerConfig()  # the search options' defaults
 
 
 def parse_threshold(text: str) -> float:
@@ -147,12 +144,6 @@ def _report_text(report: ClusteringReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _search_cfg(args) -> OptimizerConfig:
-    """optimize/crossval/pipeline's weight-search config."""
-    return OptimizerConfig(iterations=args.iterations, learning_rate=args.lr,
-                           threshold=args.threshold, seed=args.seed)
-
-
 def _classify_cluster(t, ds, w, threshold, seed):
     """cluster/export/pipeline's clustering: one Louvain seed for all three."""
     return cluster(t, ds, w, threshold, derive_seed(seed, CLASSIFY_SALT))
@@ -180,7 +171,7 @@ def cmd_export_graph(g: SimilarityGraph, p: Partition, ds: Dataset,
             "id": nid,
             "family": ds[nid].family,
             "community": int(p.membership[i]),
-            "predicted_label": lab if lab is not None else "Unlabeled",
+            "predicted_label": lab if lab is not None else UNLABELED,
             "degree": int(deg[i]),
         })
     links = [{"source": g.node_ids[i], "target": g.node_ids[j], "weight": w}
@@ -271,7 +262,7 @@ def cmd_optimize(args) -> int:
     ds = _load(args)
     t = _tensor(ds, args.cache)
     # without --out only the result is printed, so the search may stop at zero error
-    trace = optimize_weights(t, ds, _search_cfg(args), stop_at_zero=not args.out)
+    trace = optimize_weights(t, ds, args.cfg, stop_at_zero=not args.out)
     print(f"best_error {trace.best_error:.4f}  accuracy {1 - trace.best_error:.4f}")
     print("weights " + "  ".join(
         f"{k}={v:.4f}" for k, v in trace.best_weights.as_dict().items()))
@@ -283,9 +274,7 @@ def cmd_optimize(args) -> int:
 def cmd_sweep(args) -> int:
     ds = _load(args)
     t = _tensor(ds, args.cache)
-    cfg = OptimizerConfig(iterations=args.iterations, learning_rate=args.lr,
-                          seed=args.seed)
-    report = threshold_sweep(t, ds, cfg, args.thresholds)
+    report = threshold_sweep(t, ds, args.cfg, args.thresholds)
     for pt in report.points:
         print(f"threshold {pt.threshold * 100:5.1f}  accuracy {pt.accuracy:.4f}")
     print(f"best threshold {report.best_threshold * 100:.1f}")
@@ -305,7 +294,7 @@ def cmd_sweep(args) -> int:
 def cmd_crossval(args) -> int:
     ds = _load(args)
     t = _tensor(ds, args.cache)
-    report = kfold_crossval(ds, args.k, _search_cfg(args), tensor=t)
+    report = kfold_crossval(ds, args.k, args.cfg, tensor=t)
     for fr in report.per_fold:
         print(f"fold {fr.fold}  classification {fr.classification_accuracy:.4f}"
               f"  prediction {fr.prediction_accuracy:.4f}")
@@ -339,33 +328,18 @@ def cmd_export(args) -> int:
 
 def run_pipeline(args) -> int:
     """ingest → tensor → optimize → classify → export, into the --out directory."""
-    cfg = _search_cfg(args)  # a bad --iterations or --lr fails before any work
+    cfg = args.cfg
     ds = _load(args)
-
-    try:
-        t = _tensor(ds, args.cache)
-    except (OSError, ValueError) as e:
-        raise PipelineError("similarity", str(e)) from e
-
-    try:
-        trace = optimize_weights(t, ds, cfg)
-    except ValueError as e:
-        raise PipelineError("optimize", str(e)) from e
-
-    try:
-        g, p = _classify_cluster(t, ds, trace.best_weights, cfg.threshold, cfg.seed)
-        report = report_from_partition(g, p, ds)
-    except ValueError as e:
-        raise PipelineError("classify", str(e)) from e
+    t = _tensor(ds, args.cache)
+    trace = optimize_weights(t, ds, cfg)
+    g, p = _classify_cluster(t, ds, trace.best_weights, cfg.threshold, cfg.seed)
+    report = report_from_partition(g, p, ds)
 
     out = Path(args.out)
-    try:
-        _json_dump(_report_payload(report, ds), out / "report.json")
-        _write(out / "report.txt", _report_text(report))
-        _write(out / "trace.jsonl", _trace_lines(trace))
-        cmd_export_graph(g, p, ds, out / "graph.json", accuracy=report.accuracy)
-    except OSError as e:
-        raise PipelineError("export", str(e)) from e
+    _json_dump(_report_payload(report, ds), out / "report.json")
+    _write(out / "report.txt", _report_text(report))
+    _write(out / "trace.jsonl", _trace_lines(trace))
+    cmd_export_graph(g, p, ds, out / "graph.json", accuracy=report.accuracy)
 
     print(f"accuracy   {report.accuracy:.4f}")
     print("weights    " + "  ".join(
@@ -417,6 +391,13 @@ def _threshold_list_arg(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(str(e)) from e
 
 
+def _graph_out_arg(text: str) -> str:
+    """export's --out: the DOT file goes beside it, so it cannot be .dot."""
+    if Path(text).suffix == ".dot":
+        raise argparse.ArgumentTypeError(f"{text}: the DOT file would overwrite it")
+    return text
+
+
 def _add_common(sub, cache: bool = True):
     sub.add_argument("--dataset", required=True, help="JSONL dataset path")
     sub.add_argument("--skip-invalid", action="store_true",
@@ -424,6 +405,23 @@ def _add_common(sub, cache: bool = True):
     if cache:
         sub.add_argument("--cache", default=None,
                          help="tensor cache file (created if absent)")
+
+
+def _add_cfg_options(sub, threshold: bool = True, search: bool = True,
+                     iterations: int = _DEFAULTS.iterations):
+    """OptimizerConfig's options with its defaults: --threshold (unless the
+    command sweeps thresholds), --seed, and for a weight search --iterations
+    and --lr, from which parse_args() builds args.cfg and reports a bad value
+    through this parser's error."""
+    if threshold:
+        sub.add_argument("--threshold", type=_threshold_arg,
+                         default=_DEFAULTS.threshold,
+                         help="percent (90) or fraction (0.9)")
+    if search:
+        sub.add_argument("--iterations", type=int, default=iterations)
+        sub.add_argument("--lr", type=float, default=_DEFAULTS.learning_rate)
+        sub.set_defaults(cfg_parser=sub)
+    sub.add_argument("--seed", type=int, default=_DEFAULTS.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,21 +447,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="cluster at fixed weights and report")
     _add_common(p)
-    p.add_argument("--threshold", type=_threshold_arg, default="90",
-                   help="percent (90) or fraction (0.9)")
+    _add_cfg_options(p, search=False)
     p.add_argument("--weights", type=_weights_arg,
                    default=WeightVector.equal(),
                    help="api,permission,activity,file")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="directory for report.json")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("optimize", help="learn fusion weights")
     _add_common(p)
-    p.add_argument("--threshold", type=_threshold_arg, default="90")
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    _add_cfg_options(p)
     p.add_argument("--out", default=None, help="trace JSONL path")
     p.set_defaults(func=cmd_optimize)
 
@@ -472,57 +465,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", type=_threshold_list_arg,
                    default="80-95",
                    help="range '80-95' or list '80,85,90' (default 80-95)")
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    _add_cfg_options(p, threshold=False, iterations=200)
     p.add_argument("--out", default=None, help="sweep report JSON path")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("crossval", help="stratified K-fold prediction accuracy")
     _add_common(p)
-    p.add_argument("--threshold", type=_threshold_arg, default="90")
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--lr", type=float, default=0.05)
+    _add_cfg_options(p)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="crossval report JSON path")
     p.set_defaults(func=cmd_crossval)
 
     p = sub.add_parser("export", help="write force-layout JSON + DOT files")
     _add_common(p)
-    p.add_argument("--threshold", type=_threshold_arg, default="90")
+    _add_cfg_options(p, search=False)
     p.add_argument("--weights", type=_weights_arg,
                    default=WeightVector.equal())
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="graph JSON path")
+    p.add_argument("--out", type=_graph_out_arg, required=True,
+                   help="graph JSON path; the DOT file is written beside it")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("pipeline",
                        help="ingest, optimize, classify, export in one run")
     _add_common(p)
-    p.add_argument("--threshold", type=_threshold_arg, default="90")
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    _add_cfg_options(p)
     p.add_argument("--out", required=True, help="artifact directory")
     p.set_defaults(func=run_pipeline)
 
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse argv; a search command's options become one checked args.cfg."""
+    args = build_parser().parse_args(argv)
+    if hasattr(args, "cfg_parser"):
+        try:
+            args.cfg = OptimizerConfig(
+                iterations=args.iterations, learning_rate=args.lr,
+                threshold=getattr(args, "threshold", _DEFAULTS.threshold),
+                seed=args.seed)
+        except ValueError as e:
+            args.cfg_parser.error(str(e))
+    return args
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except DatasetError as e:
         print(f"simnet: data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except PipelineError as e:
-        print(f"simnet: pipeline error: {e}", file=sys.stderr)
-        return EXIT_PIPELINE
     except (ValueError, OSError) as e:
         print(f"simnet: error: {e}", file=sys.stderr)
         return EXIT_PIPELINE

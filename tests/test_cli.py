@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import simnet.optimizer
-from simnet import (FEATURES, SimilarityTensor, WeightVector,
+from simnet import (FEATURES, OptimizerConfig, SimilarityTensor, WeightVector,
                     build_similarity_tensor, classify, derive_seed,
                     generate_planted, load_dataset, save_dataset)
-from simnet.cli import (EXIT_DATA, EXIT_OK, EXIT_PIPELINE, _threshold_list_arg,
-                        build_parser, main, parse_threshold, parse_weights)
+from simnet.cli import (EXIT_DATA, EXIT_OK, EXIT_PIPELINE, EXIT_USAGE,
+                        _threshold_list_arg, build_parser, main, parse_args,
+                        parse_threshold, parse_weights)
 from test_similarity import CORRUPT_HEADERS, OUT_OF_RANGE, patch_pair
 
 
@@ -86,6 +87,37 @@ class TestExitCodes:
                       "--threshold", threshold])
             assert exc.value.code == 1
 
+    @pytest.mark.parametrize("flag,value", [("--iterations", "0"), ("--lr", "0"),
+                                            ("--lr", "1.5"), ("--lr", "nan")])
+    @pytest.mark.parametrize("command", ["optimize", "sweep", "crossval", "pipeline"])
+    def test_bad_search_option_is_usage_error_before_any_work(
+            self, dataset_path, tmp_path, capsys, command, flag, value):
+        out, cache = tmp_path / "out", tmp_path / "tensor.bin"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dataset", str(dataset_path), "--cache", str(cache),
+                  flag, value, "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"simnet {command}: error:" in err and "Traceback" not in err
+        assert not out.exists() and not cache.exists()
+
+    @pytest.mark.parametrize("command,changed", [
+        ("optimize", {}), ("sweep", {"iterations": 200}), ("crossval", {}),
+        ("pipeline", {}),
+    ])
+    def test_search_defaults_are_optimizer_config_defaults(self, command, changed):
+        args = parse_args([command, "--dataset", "d.jsonl", "--out", "out"])
+        assert args.cfg == OptimizerConfig(**changed)
+
+    def test_export_to_a_dot_path_is_usage_error(self, dataset_path, tmp_path,
+                                                 capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["export", "--dataset", str(dataset_path),
+                  "--out", str(tmp_path / "g.dot")])
+        assert exc.value.code == EXIT_USAGE
+        assert "the DOT file would overwrite it" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_dataset_is_data_error(self, tmp_path, capsys):
         rc = main(["ingest", "--dataset", str(tmp_path / "absent.jsonl")])
         assert rc == EXIT_DATA
@@ -124,7 +156,8 @@ class TestExitCodes:
             argv += ["--iterations", "1", "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_PIPELINE
         err = capsys.readouterr().err
-        assert "corrupt tensor cache" in err and "Traceback" not in err
+        assert "simnet: error: corrupt tensor cache" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", OUT_OF_RANGE)
     @pytest.mark.parametrize("command", ["similarity", "pipeline"])
@@ -140,7 +173,8 @@ class TestExitCodes:
             argv += ["--iterations", "1", "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_PIPELINE
         err = capsys.readouterr().err
-        assert "corrupt tensor cache" in err and "Traceback" not in err
+        assert "simnet: error: corrupt tensor cache" in err
+        assert "Traceback" not in err
 
 
 class TestCommands:

@@ -5,6 +5,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -82,3 +84,21 @@ def test_run_planted_experiment_reports_are_pinned(monkeypatch, capsys):
                 "--k", "2"],
                monkeypatch, capsys)
     assert re.sub(r" in \d+\.\d\ds$", " in <t>s", out, flags=re.M) == PLANTED_STDOUT
+
+
+@pytest.mark.parametrize("name,argv,message", [
+    ("sweep_thresholds.py", ["--lo", "95", "--hi", "90"], "empty threshold range"),
+    ("sweep_thresholds.py", ["--hi", "200"], "threshold must be in [0, 1]"),
+    ("sweep_thresholds.py", ["--iterations", "0"], "iterations must be >= 1"),
+    ("run_planted_experiment.py", ["--k", "9"], "fewer than k=9"),
+    ("run_planted_experiment.py", ["--iterations", "0"], "iterations must be >= 1"),
+])
+def test_bad_argument_is_usage_error_before_any_search(name, argv, message,
+                                                       monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(name, ["--families", "3", "--per-family", "6", *argv],
+             monkeypatch, capsys)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err and "Traceback" not in err
