@@ -1,9 +1,11 @@
-"""Command-line front door: generate/ingest data, build tensors, cluster,
-optimize, sweep, cross-validate, and export viewer-ready graph files.
+"""The command-line front door, and the only runnable one: generate/ingest
+data, build tensors, cluster, optimize, sweep, cross-validate, and export
+viewer-ready graph files.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 pipeline error.
-A malformed or out-of-range option value, search options included, is a
-usage error: it fails before any work with ``simnet <command>: error: ...``.
+A malformed or out-of-range option value, search options, ``crossval --k``
+and ``generate``'s corpus shape included, is a usage error: it fails before
+any work with ``simnet <command>: error: ...``.
 Every exit-3 error prints ``simnet: error: <cause>``.
 """
 
@@ -19,7 +21,7 @@ from pathlib import Path
 from .community import Partition, cluster
 from .dataset import Dataset, DatasetError, generate_planted, load_dataset, save_dataset
 from .evaluation import (CLASSIFY_SALT, UNLABELED, ClusteringReport,
-                         kfold_crossval, report_from_partition)
+                         kfold_crossval, report_from_partition, stratified_folds)
 from .netgraph import SimilarityGraph
 from .optimizer import (OptimizerConfig, OptimizerTrace, derive_seed,
                         optimize_weights, threshold_sweep)
@@ -219,8 +221,11 @@ def _trace_lines(trace: OptimizerTrace) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    ds = generate_planted(args.families, args.per_family, args.mutation_rate,
-                          args.seed)
+    try:
+        ds = generate_planted(args.families, args.per_family, args.mutation_rate,
+                              args.seed)
+    except ValueError as e:
+        args.parser.error(str(e))
     save_dataset(ds, _out_file(args.out))
     print(f"wrote {len(ds)} samples ({args.families} families) to {args.out}")
     return EXIT_OK
@@ -276,7 +281,12 @@ def cmd_sweep(args) -> int:
     t = _tensor(ds, args.cache)
     report = threshold_sweep(t, ds, args.cfg, args.thresholds)
     for pt in report.points:
-        print(f"threshold {pt.threshold * 100:5.1f}  accuracy {pt.accuracy:.4f}")
+        # cluster's report at this point's weights, threshold and seed
+        rescored = report_from_partition(*_classify_cluster(
+            t, ds, pt.best_weights, pt.threshold, args.cfg.seed), ds)
+        print(f"threshold {pt.threshold * 100:5.1f}  accuracy {pt.accuracy:.4f}"
+              f"  unlabeled {rescored.unlabeled_count}"
+              f"  isolated {len(rescored.no_connection_ids)}")
     print(f"best threshold {report.best_threshold * 100:.1f}")
     if args.out:
         payload = {
@@ -293,6 +303,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_crossval(args) -> int:
     ds = _load(args)
+    try:
+        stratified_folds(ds, args.k, args.cfg.seed)  # checks --k before the tensor build
+    except ValueError as e:
+        args.parser.error(str(e))
     t = _tensor(ds, args.cache)
     report = kfold_crossval(ds, args.k, args.cfg, tensor=t)
     for fr in report.per_fold:
@@ -412,7 +426,7 @@ def _add_cfg_options(sub, threshold: bool = True, search: bool = True,
     """OptimizerConfig's options with its defaults: --threshold (unless the
     command sweeps thresholds), --seed, and for a weight search --iterations
     and --lr, from which parse_args() builds args.cfg and reports a bad value
-    through this parser's error."""
+    through the command's parser."""
     if threshold:
         sub.add_argument("--threshold", type=_threshold_arg,
                          default=_DEFAULTS.threshold,
@@ -420,7 +434,6 @@ def _add_cfg_options(sub, threshold: bool = True, search: bool = True,
     if search:
         sub.add_argument("--iterations", type=int, default=iterations)
         sub.add_argument("--lr", type=float, default=_DEFAULTS.learning_rate)
-        sub.set_defaults(cfg_parser=sub)
     sub.add_argument("--seed", type=int, default=_DEFAULTS.seed)
 
 
@@ -492,20 +505,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="artifact directory")
     p.set_defaults(func=run_pipeline)
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)  # a command's usage errors go through its own parser
     return parser
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse argv; a search command's options become one checked args.cfg."""
     args = build_parser().parse_args(argv)
-    if hasattr(args, "cfg_parser"):
+    if hasattr(args, "iterations"):
         try:
             args.cfg = OptimizerConfig(
                 iterations=args.iterations, learning_rate=args.lr,
                 threshold=getattr(args, "threshold", _DEFAULTS.threshold),
                 seed=args.seed)
         except ValueError as e:
-            args.cfg_parser.error(str(e))
+            args.parser.error(str(e))
     return args
 
 

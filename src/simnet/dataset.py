@@ -178,12 +178,18 @@ def load_dataset(path, skip_invalid: bool = False) -> Dataset:
     """
     samples: list[Sample] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, so a bad line fails on its own
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError as e:
+                        raise ParseError(line_no, "invalid UTF-8") from e
                 try:
                     rec = json.loads(line)
                 except json.JSONDecodeError as e:

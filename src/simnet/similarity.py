@@ -361,7 +361,10 @@ class SimilarityTensor:
             raise ValueError(f"corrupt tensor cache: unreadable header ({e})") from e
         if not isinstance(header, dict):
             raise ValueError("corrupt tensor cache: header is not a JSON object")
-        version = header.get("format_version")
+        if "format_version" not in header:
+            # not a tensor cache at all, so it is refused rather than rebuilt over
+            raise ValueError("corrupt tensor cache: header has no format_version")
+        version = header["format_version"]
         if version != cls.FORMAT_VERSION:
             raise CacheVersionError(f"unsupported tensor cache version: {version!r}")
         n = header.get("n")

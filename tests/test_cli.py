@@ -137,12 +137,54 @@ class TestExitCodes:
         assert rc == EXIT_OK
         assert json.loads(capsys.readouterr().out)["samples"] == 1
 
-    def test_impossible_stratification_is_pipeline_error(self, dataset_path,
-                                                         capsys):
-        rc = main(["crossval", "--dataset", str(dataset_path), "--k", "9",
-                   "--iterations", "2"])
-        assert rc == EXIT_PIPELINE
-        assert "fewer than k" in capsys.readouterr().err
+    def test_undecodable_line_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"id": "a", "api_sequence": ["x.y"]}\n'
+                        b'{"id": "b\xff", "api_sequence": ["x.y"]}\n')
+        assert main(["ingest", "--dataset", str(bad)]) == EXIT_DATA
+        assert "line 2: invalid UTF-8" in capsys.readouterr().err
+        assert main(["ingest", "--dataset", str(bad), "--skip-invalid"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["samples"] == 1
+
+    # the library's rules, reported as usage errors before any work
+    @pytest.mark.parametrize("command,flags,message", [
+        pytest.param("generate", ["--families", "0"],
+                     "families and per_family must be positive", id="families-0"),
+        pytest.param("generate", ["--per-family", "0"],
+                     "families and per_family must be positive", id="per-family-0"),
+        pytest.param("generate", ["--mutation-rate", "2"],
+                     "mutation_rate must be in [0, 1]", id="mutation-rate-2"),
+        pytest.param("crossval", ["--k", "1"], "k must be >= 2", id="k-1"),
+        pytest.param("crossval", ["--k", "9"],
+                     "family 'fam00' has 8 labeled samples, fewer than k=9",
+                     id="k-above-a-family"),
+    ])
+    def test_out_of_range_value_is_usage_error(
+            self, dataset_path, tmp_path, capsys, command, flags, message):
+        out, cache = tmp_path / "out", tmp_path / "tensor.bin"
+        argv = [command, *flags, "--out", str(out)]
+        if command == "crossval":
+            argv += ["--dataset", str(dataset_path), "--cache", str(cache)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"simnet {command}: error: {message}\n" in captured.err
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cache_without_a_cache_header_is_refused(self, dataset_path,
+                                                     tmp_path, capsys):
+        # --cache naming the dataset itself must not overwrite it
+        data = tmp_path / "data.jsonl"
+        data.write_bytes(dataset_path.read_bytes())
+        assert main(["similarity", "--dataset", str(data),
+                     "--cache", str(data)]) == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert "simnet: error: corrupt tensor cache: header has no format_version" in err
+        assert data.read_bytes() == dataset_path.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
 
     @pytest.mark.parametrize("line", [line for line, _ in CORRUPT_HEADERS.values()],
                              ids=CORRUPT_HEADERS.keys())
@@ -325,6 +367,10 @@ class TestCommands:
             main(["sweep", "--dataset", str(dataset_path),
                   "--thresholds", "80.5-82", "--iterations", "2"])
         assert exc.value.code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--dataset", str(dataset_path),
+                  "--thresholds", "95-90", "--iterations", "2"])
+        assert exc.value.code == 1
 
     def test_crossval_payload(self, dataset_path, tmp_path, capsys):
         out = tmp_path / "cv.json"
@@ -477,3 +523,76 @@ class TestClassifySeed:
         for name in ("graph.json", "graph.dot"):
             assert ((tmp_path / name).read_bytes()
                     == (run / name).read_bytes()), name
+
+
+class TestPlantedExperiment:
+    """The README recipe and `sweep`'s error split on small planted corpora."""
+
+    def test_readme_recipe_reproduces_the_planted_numbers(self, tmp_path,
+                                                           capsys):
+        data, cache = tmp_path / "corpus.jsonl", tmp_path / "t.bin"
+        run = tmp_path / "run"
+        assert main(["generate", "--families", "3", "--per-family", "6",
+                     "--seed", "7", "--out", str(data)]) == EXIT_OK
+        common = ["--dataset", str(data), "--iterations", "5", "--cache", str(cache)]
+        capsys.readouterr()
+        assert main(["pipeline", *common, "--out", str(run)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "accuracy   0.6667\n"
+            "weights    api=0.2632  permission=0.2632  activity=0.2632  file=0.2105\n"
+            "modularity 0.7187\n"
+            f"artifacts  {run}\n")
+        assert (run / "report.txt").read_text().splitlines()[:6] == [
+            "accuracy     0.6667",
+            "modularity   0.7187",
+            "threshold    0.90",
+            "unlabeled    6",
+            "isolated     6",
+            "weights      api=0.2632  permission=0.2632  activity=0.2632  file=0.2105",
+        ]
+        rows = [json.loads(ln) for ln in (run / "trace.jsonl").read_text().splitlines()]
+        assert len(rows) == 6
+        assert f"{rows[0]['error']:.4f}" == "0.3889"  # the equal-weight baseline
+        assert sum(r["accepted"] for r in rows[1:]) == 1
+        assert main(["crossval", *common, "--k", "2"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "fold 0  classification 0.5556  prediction 0.3333\n"
+            "fold 1  classification 0.2222  prediction 0.3333\n"
+            "mean prediction accuracy 0.3333\n")
+
+    def test_sweep_stdout_is_pinned(self, tmp_path, capsys):
+        # 5x12 at mutation 0.3: 11 samples have no edge even at 0.70, and
+        # a singleton community is Unlabeled, so every error is Unlabeled
+        data = tmp_path / "corpus.jsonl"
+        save_dataset(generate_planted(5, 12, 0.3, 7), data)
+        assert main(["sweep", "--dataset", str(data), "--thresholds", "70-95",
+                     "--iterations", "5"]) == EXIT_OK
+        rows = [(70, "0.8167", 11), (71, "0.7833", 13), (72, "0.6667", 20),
+                (73, "0.5333", 28), (74, "0.4167", 35), (75, "0.3333", 40),
+                (76, "0.3000", 42), (77, "0.2500", 45), (78, "0.2000", 48),
+                (79, "0.1333", 52), (80, "0.0667", 56), (81, "0.0333", 58)]
+        rows += [(pct, "0.0000", 60) for pct in range(82, 96)]
+        assert capsys.readouterr().out == "".join(
+            f"threshold {pct:5.1f}  accuracy {acc}  unlabeled {n}  isolated {n}\n"
+            for pct, acc, n in rows) + "best threshold 70.0\n"
+
+    def test_sweep_rows_are_cluster_reports(self, seed_sensitive_path, tmp_path,
+                                            capsys):
+        common = ["--dataset", str(seed_sensitive_path), "--seed", "3"]
+        sweep = tmp_path / "sweep.json"
+        assert main(["sweep", *common, "--thresholds", "72-74",
+                     "--iterations", "5", "--out", str(sweep)]) == EXIT_OK
+        printed = [ln.split() for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("threshold ")]
+        points = json.loads(sweep.read_text())["points"]
+        assert len(printed) == len(points) == 3
+        for row, pt in zip(printed, points):
+            weights = ",".join(repr(pt["weights"][name]) for name in FEATURES)
+            out = tmp_path / f"cluster-{pt['threshold_percent']}"
+            assert main(["cluster", *common, "--weights", weights,
+                         "--threshold", str(pt["threshold_percent"]),
+                         "--out", str(out)]) == EXIT_OK
+            report = json.loads((out / "report.json").read_text())
+            assert row[4:] == ["unlabeled", str(report["unlabeled_count"]),
+                               "isolated", str(len(report["no_connection_ids"]))]
+        assert int(printed[0][5]) > 0

@@ -126,6 +126,32 @@ class TestLoadErrors:
         assert ds.ids == ("ok", "ok2")
         assert any("line 2" in r.message for r in caplog.records)
 
+    def test_undecodable_line_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"id":"a","api_sequence":[]}\n'
+                         b'{"id":"b\xff","api_sequence":[]}\n')
+        with pytest.raises(ParseError, match="invalid UTF-8") as exc:
+            load_dataset(path)
+        assert exc.value.line_no == 2
+
+    def test_skip_invalid_drops_undecodable_line(self, tmp_path, caplog):
+        path = tmp_path / "mixed.jsonl"
+        # a valid multi-byte line and CRLF endings around the bad one
+        path.write_bytes(b'{"id":"\xc3\xa9","api_sequence":["x"]}\r\n'
+                         b'{"id":"b","api_sequence":["\xed\xb2\x80"]}\r\n'
+                         b'{"id":"c","api_sequence":[]}\r\n')
+        with caplog.at_level("WARNING"):
+            ds = load_dataset(path, skip_invalid=True)
+        assert ds.ids == ("\u00e9", "c")
+        assert any("line 2: invalid UTF-8" in r.message for r in caplog.records)
+
+    def test_universal_newlines(self, tmp_path):
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes(b'{"id":"a","api_sequence":["x"]}\r\n'
+                         b'{"id":"b","api_sequence":["y"]}\r'
+                         b'{"id":"c","api_sequence":["z"]}')
+        assert load_dataset(path).ids == ("a", "b", "c")
+
     def test_strict_mode_preserves_record_count(self, tmp_path):
         path = tmp_path / "ok.jsonl"
         lines = [json.dumps({"id": f"s{i}", "api_sequence": []}) for i in range(7)]

@@ -600,6 +600,7 @@ def _header(**fields):
 # traceback, with the part of the message that names the problem.
 CORRUPT_HEADERS = {
     "list": (b"[]", "not a JSON object"),
+    "no-version": (_header(format_version=_DROP), "no format_version"),
     "string": (b'"v2"', "not a JSON object"),
     "not-json": (b"{not json", "unreadable header"),
     "not-ascii": ('{"n": "é"}'.encode("utf-8"), "unreadable header"),
