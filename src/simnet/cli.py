@@ -28,7 +28,7 @@ from .optimizer import (OptimizerConfig, OptimizerTrace, derive_seed,
 from .similarity import (FEATURES, CacheVersionError, SimilarityTensor,
                          WeightVector, build_similarity_tensor)
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("simnet.cli")   # not __main__ under python -m simnet.cli
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,11 +84,17 @@ def _json_dump(obj, path) -> None:
     _write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _load(args) -> Dataset:
+def _load(args, need: str = "") -> Dataset:
+    """Load --dataset; ``need`` "samples" (to build a tensor) or "labels" is checked here."""
     path = Path(args.dataset)
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")
-    return load_dataset(path, skip_invalid=args.skip_invalid)
+    ds = load_dataset(path, skip_invalid=args.skip_invalid)
+    if need and not len(ds):
+        raise DatasetError("dataset has no samples")
+    if need == "labels" and not ds.labeled_ids:
+        raise DatasetError("dataset has no labeled samples")
+    return ds
 
 
 def _tensor(ds: Dataset, cache: str | None) -> SimilarityTensor:
@@ -243,7 +249,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_similarity(args) -> int:
-    ds = _load(args)
+    ds = _load(args, need="samples")
     t = _tensor(ds, args.cache)
     stats = {name: {"mean": round(float(m.mean()), 6),
                     "min": round(float(m.min()), 6)}
@@ -253,7 +259,7 @@ def cmd_similarity(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    ds = _load(args)
+    ds = _load(args, need="labels")
     t = _tensor(ds, args.cache)
     g, p = _classify_cluster(t, ds, args.weights, args.threshold, args.seed)
     report = report_from_partition(g, p, ds)
@@ -264,7 +270,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    ds = _load(args)
+    ds = _load(args, need="labels")
     t = _tensor(ds, args.cache)
     # without --out only the result is printed, so the search may stop at zero error
     trace = optimize_weights(t, ds, args.cfg, stop_at_zero=not args.out)
@@ -277,7 +283,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ds = _load(args)
+    ds = _load(args, need="labels")
     t = _tensor(ds, args.cache)
     report = threshold_sweep(t, ds, args.cfg, args.thresholds)
     for pt in report.points:
@@ -302,7 +308,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    ds = _load(args)
+    ds = _load(args, need="labels")
     try:
         stratified_folds(ds, args.k, args.cfg.seed)  # checks --k before the tensor build
     except ValueError as e:
@@ -329,7 +335,7 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_export(args) -> int:
-    ds = _load(args)
+    ds = _load(args, need="samples")
     t = _tensor(ds, args.cache)
     g, p = _classify_cluster(t, ds, args.weights, args.threshold, args.seed)
     accuracy = None
@@ -343,7 +349,7 @@ def cmd_export(args) -> int:
 def run_pipeline(args) -> int:
     """ingest → tensor → optimize → classify → export, into the --out directory."""
     cfg = args.cfg
-    ds = _load(args)
+    ds = _load(args, need="labels")
     t = _tensor(ds, args.cache)
     trace = optimize_weights(t, ds, cfg)
     g, p = _classify_cluster(t, ds, trace.best_weights, cfg.threshold, cfg.seed)

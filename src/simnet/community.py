@@ -18,7 +18,7 @@ visit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -254,17 +254,14 @@ def louvain(g: SimilarityGraph, seed: int, track: bool = False) -> Partition:
     """Two-phase Louvain on a similarity graph.
 
     Deterministic for a given (graph, seed): node sweep order is one
-    seeded shuffle per level.  An edgeless graph comes back as all
-    singletons with modularity reported as 0.  With ``track`` the
-    returned partition carries per-level move logs for auditing.
+    seeded shuffle per level, and community ids follow first appearance.
+    An edgeless graph comes back as all singletons with modularity 0.
+    With ``track`` the returned partition carries per-level move logs for
+    auditing; the last level moved nothing (an edgeless graph's only one).
     """
     n = g.n
     if n == 0:
         raise ValueError("graph has no nodes")
-    if g.edge_count == 0:
-        return Partition(g.node_ids, np.arange(n, dtype=np.int64), 0.0,
-                         np.full(n, -1, dtype=np.int64), 0,
-                         trace=() if track else None)
 
     rng = np.random.default_rng(seed % (2 ** 64))
     src = g.src.astype(np.int64)
@@ -279,8 +276,7 @@ def louvain(g: SimilarityGraph, seed: int, track: bool = False) -> Partition:
         order = rng.permutation(n_lv).astype(np.int64)
         comm, moves = _run_level(n_lv, src, dst, w, self_w, order)
         if track:
-            levels.append(LevelTrace(src.copy(), dst.copy(), w.copy(),
-                                     self_w.copy(), order, moves, comm.copy()))
+            levels.append(LevelTrace(src, dst, w, self_w, order, moves, comm))
         if len(moves) == 0:
             break
         comm = _canonical(comm)
@@ -290,8 +286,7 @@ def louvain(g: SimilarityGraph, seed: int, track: bool = False) -> Partition:
         level_count += 1
         n_lv = n_comms
 
-    membership = _canonical(membership)
-    q = _q_arrays(n, g.src, g.dst, g.weight, None, membership)
+    q = _q_arrays(n, g.src, g.dst, g.weight, None, membership) if g.edge_count else 0.0
     return Partition(g.node_ids, membership, q,
                      np.full(int(membership.max()) + 1, -1, dtype=np.int64),
                      level_count, trace=tuple(levels) if track else None)
@@ -301,39 +296,34 @@ def louvain(g: SimilarityGraph, seed: int, track: bool = False) -> Partition:
 # Labeling
 # ---------------------------------------------------------------------------
 
-def label_communities(p: Partition, ds: Dataset, voters: Iterable[str]) -> Partition:
+def label_communities(p: Partition, ds: Dataset,
+                      voters: np.ndarray | None = None) -> Partition:
     """Label each community with the plurality family among its voters.
 
-    Singleton communities and communities with no voters stay unlabeled
-    (code -1); plurality ties break to the lexicographically smallest
-    family.  KeyError for a voter not in the dataset.
+    ``p`` partitions ``ds``'s samples in ``ds`` order (else ValueError);
+    ``voters`` masks ``ds``'s rows, None for every labeled sample, and
+    unlabeled samples never vote.  Ties go to the smallest family code, the
+    lexicographically smallest family.  Singleton communities and
+    communities without votes stay unlabeled (code -1).
     """
-    rows = ds.indices_of(p.node_ids)
-    is_voter = np.zeros(len(ds), dtype=bool)
-    is_voter[ds.indices_of(voters)] = True
-    node_codes = ds.family_codes[rows]
-    vm = is_voter[rows] & (node_codes >= 0)
+    if p.node_ids != ds.ids:
+        raise ValueError("partition node_ids do not match dataset order")
+    fam = ds.family_codes
+    vote = fam >= 0 if voters is None else voters & (fam >= 0)
     n_comms = p.n_communities
-    codes = np.full(n_comms, -1, dtype=np.int64)
-    if vm.any():
-        n_fams = int(node_codes[vm].max()) + 1
-        key = p.membership[vm] * np.int64(n_fams) + node_codes[vm]
-        pairs, counts = np.unique(key, return_counts=True)
-        cs, fs = pairs // n_fams, pairs % n_fams
-        order = np.lexsort((fs, -counts, cs))
-        firsts = np.ones(len(order), dtype=bool)
-        firsts[1:] = cs[order][1:] != cs[order][:-1]
-        codes[cs[order][firsts]] = fs[order][firsts]
-    codes[np.bincount(p.membership, minlength=n_comms) <= 1] = -1
+    n_fams = max(len(ds.families), 1)   # one empty column when none is labeled
+    votes = np.bincount(p.membership[vote] * n_fams + fam[vote],
+                        minlength=n_comms * n_fams).reshape(n_comms, n_fams)
+    size = np.bincount(p.membership, minlength=n_comms)
+    codes = np.where(votes.any(axis=1) & (size > 1), votes.argmax(axis=1), -1)
     return replace(p, label_codes=codes, families=ds.families)
 
 
 def cluster(t: SimilarityTensor, ds: Dataset, w: WeightVector, threshold: float,
-            seed: int, voters: Iterable[str] | None = None,
+            seed: int, voters: np.ndarray | None = None,
             ) -> tuple[SimilarityGraph, Partition]:
-    """build_graph → louvain → label_communities; voters default to the labeled."""
+    """build_graph → louvain → label_communities, whose ``voters`` row mask it takes."""
     if t.sample_order != ds.ids:
         raise ValueError("tensor sample_order does not match dataset order")
     g = build_graph(t, w, threshold)
-    voters = ds.labeled_ids if voters is None else voters
     return g, label_communities(louvain(g, seed), ds, voters)

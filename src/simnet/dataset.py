@@ -96,10 +96,6 @@ class Dataset:
     def __getitem__(self, sample_id: str) -> Sample:
         return self.samples[self._index[sample_id]]
 
-    def indices_of(self, sample_ids) -> np.ndarray:
-        """int64 row index of each id, in order; KeyError for an unknown id."""
-        return np.fromiter(map(self._index.__getitem__, sample_ids), dtype=np.int64)
-
     @property
     def ids(self) -> tuple[str, ...]:
         return self._ids
@@ -200,7 +196,9 @@ def load_dataset(path, skip_invalid: bool = False) -> Dataset:
             except DatasetError as e:
                 if not skip_invalid:
                     raise
-                log.warning("skipping line %d: %s", line_no, e)
+                # a ParseError's message already starts with its line number
+                log.warning("skipping line %d: %s", line_no,
+                            e.reason if isinstance(e, ParseError) else e)
                 continue
             seen.add(sample.id)
             samples.append(sample)

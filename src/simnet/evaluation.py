@@ -156,17 +156,17 @@ def kfold_crossval(ds: Dataset, k: int, cfg: OptimizerConfig,
         raise ValueError("tensor sample_order does not match dataset order")
     per_fold = []
     for f, test_ids in enumerate(folds):
-        rows = ds.indices_of(test_ids)
-        train_idx = np.setdiff1d(np.arange(len(ds)), rows)
+        test = np.isin(ds.ids, test_ids)
+        train_idx = np.flatnonzero(~test)
         sub_ds = ds.subset(ds.ids[i] for i in train_idx)
         sub_t = tensor.subset(train_idx)
         fold_cfg = replace(cfg, seed=derive_seed(cfg.seed, _OPT_SALT, f))
         trace = optimize_weights(sub_t, sub_ds, fold_cfg, stop_at_zero=True)
 
         _, p = cluster(tensor, ds, trace.best_weights, cfg.threshold,
-                       derive_seed(cfg.seed, _PRED_SALT, f), sub_ds.labeled_ids)
-        correct = np.count_nonzero(p.label_codes[p.membership[rows]]
-                                   == ds.family_codes[rows])
+                       derive_seed(cfg.seed, _PRED_SALT, f), voters=~test)
+        correct = np.count_nonzero(p.label_codes[p.membership[test]]
+                                   == ds.family_codes[test])
         per_fold.append(FoldResult(
             fold=f,
             classification_accuracy=1.0 - trace.best_error,

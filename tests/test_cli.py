@@ -1,13 +1,19 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import simnet
 import simnet.optimizer
-from simnet import (FEATURES, OptimizerConfig, SimilarityTensor, WeightVector,
-                    build_similarity_tensor, classify, derive_seed,
-                    generate_planted, load_dataset, save_dataset)
+from simnet import (FEATURES, Dataset, OptimizerConfig, SimilarityTensor,
+                    WeightVector, build_similarity_tensor, classify,
+                    derive_seed, generate_planted, load_dataset, save_dataset)
 from simnet.cli import (EXIT_DATA, EXIT_OK, EXIT_PIPELINE, EXIT_USAGE,
                         _threshold_list_arg, build_parser, main, parse_args,
                         parse_threshold, parse_weights)
@@ -174,6 +180,52 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command,data,message", [
+        *(pytest.param(c, "empty", "dataset has no samples", id=f"{c}-empty")
+          for c in ("similarity", "cluster", "optimize", "sweep", "crossval",
+                    "export", "pipeline")),
+        *(pytest.param(c, "unlabeled", "dataset has no labeled samples",
+                       id=f"{c}-unlabeled")
+          for c in ("cluster", "optimize", "sweep", "crossval", "pipeline")),
+    ])
+    def test_no_samples_or_labels_is_data_error_before_any_work(
+            self, dataset_path, tmp_path, capsys, command, data, message):
+        path = tmp_path / "data.jsonl"
+        if data == "empty":
+            path.write_text("", encoding="utf-8")
+        else:
+            ds = load_dataset(dataset_path)
+            save_dataset(Dataset(tuple(replace(s, family=None) for s in ds)), path)
+        argv = [command, "--dataset", str(path),
+                "--cache", str(tmp_path / "tensor.bin")]
+        if command in ("optimize", "sweep", "crossval", "pipeline"):
+            argv += ["--iterations", "1"]
+        if command in ("export", "pipeline"):
+            argv += ["--out", str(tmp_path / "out" / "graph.json")]
+        assert main(argv) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"simnet: data error: {message}\n")
+        assert "Traceback" not in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+
+    def test_empty_ingest_and_unlabeled_similarity_and_export_succeed(
+            self, dataset_path, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        assert main(["ingest", "--dataset", str(empty)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["samples"] == 0
+        unlabeled = tmp_path / "unlabeled.jsonl"
+        save_dataset(Dataset(tuple(replace(s, family=None)
+                                   for s in load_dataset(dataset_path))), unlabeled)
+        assert main(["similarity", "--dataset", str(unlabeled)]) == EXIT_OK
+        out = tmp_path / "graph.json"
+        assert main(["export", "--dataset", str(unlabeled),
+                     "--out", str(out)]) == EXIT_OK
+        graph = json.loads(out.read_text(encoding="utf-8"))
+        assert graph["meta"]["accuracy"] is None
+        assert {n["predicted_label"] for n in graph["nodes"]} == {"Unlabeled"}
+
     def test_cache_without_a_cache_header_is_refused(self, dataset_path,
                                                      tmp_path, capsys):
         # --cache naming the dataset itself must not overwrite it
@@ -254,6 +306,18 @@ class TestCommands:
         main(["similarity", "--dataset", str(dataset_path),
               "--cache", str(cache)])
         assert capsys.readouterr().out == first
+
+    def test_module_run_logs_as_simnet_cli(self, dataset_path, tmp_path):
+        src = Path(simnet.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "simnet.cli", "similarity",
+                "--dataset", str(dataset_path), "--cache", str(tmp_path / "st.bin")]
+        for _ in range(2):
+            run = subprocess.run(argv, env=env, capture_output=True, text=True,
+                                 check=True)
+        assert "INFO simnet.cli: loaded tensor cache" in run.stderr
+        assert "__main__" not in run.stderr
 
     def test_old_version_cache_is_rebuilt(self, dataset_path, tmp_path, capsys,
                                           caplog):

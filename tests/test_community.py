@@ -158,13 +158,16 @@ class TestLouvain:
             assert p.modularity >= 0.95 * best - 1e-12
 
     def test_membership_is_canonical(self):
-        g, _ = random_graph(np.random.default_rng(11), 8)
-        p = louvain(g, seed=4)
-        seen = []
-        for c in p.membership:
-            if c not in seen:
-                seen.append(int(c))
-        assert seen == list(range(p.n_communities))
+        # multi-level runs included: each level's renumbering composes
+        rng = np.random.default_rng(11)
+        for seed in range(12):
+            g, _ = random_graph(rng, 16, p=0.3)
+            p = louvain(g, seed=seed)
+            seen = []
+            for c in p.membership:
+                if c not in seen:
+                    seen.append(int(c))
+            assert seen == list(range(p.n_communities))
 
     def test_reported_modularity_matches_formula(self, small_tensor):
         from simnet import WeightVector, build_graph
@@ -224,7 +227,6 @@ class TestTrace:
         for lv in p.trace:
             if len(lv.moves):
                 memb = _canonical(lv.final_membership)[memb]
-        memb = _canonical(memb)
         assert np.array_equal(memb, p.membership)
         assert p.modularity == pytest.approx(
             brute_q(g.n, [(int(i), int(j), float(w)) for i, j, w in g.edges()],
@@ -235,6 +237,15 @@ class TestTrace:
         _, p = traced
         assert len(p.trace[-1].moves) == 0
         assert p.level_count == len(p.trace) - 1
+
+    def test_edgeless_graph_traces_one_level_without_moves(self):
+        g = SimilarityGraph.from_edges(("a", "b", "c"), [])
+        p = louvain(g, seed=0, track=True)
+        assert len(p.trace) == 1
+        assert len(p.trace[0].moves) == 0
+        assert p.trace[0].final_membership.tolist() == [0, 1, 2]
+        assert p.level_count == len(p.trace) - 1 == 0
+        assert p.modularity == 0.0
 
 
 class TestKernel:
@@ -417,30 +428,30 @@ class TestLabelCommunities:
 
     def test_plurality_wins(self, ds):
         p = _mk_partition([s.id for s in ds.samples], [0] * 5 + [1, 1, 1])
-        out = label_communities(p, ds, voters=ds.labeled_ids)
+        out = label_communities(p, ds)
         # community 0: 2 adware vs 3 botnet; community 1: adware vs clicker tie
         assert out.community_labels[0] == "botnet"
 
     def test_tie_breaks_to_lexicographically_smallest(self, ds):
         p = _mk_partition([s.id for s in ds.samples], [0] * 5 + [1, 1, 1])
-        out = label_communities(p, ds, voters=ds.labeled_ids)
+        out = label_communities(p, ds)
         assert out.community_labels[1] == "adware"
 
     def test_singleton_community_stays_unlabeled(self, ds):
         p = _mk_partition([s.id for s in ds.samples], [0] * 7 + [1])
-        out = label_communities(p, ds, voters=ds.labeled_ids)
+        out = label_communities(p, ds)
         assert out.community_labels[1] is None
 
     def test_community_without_voters_stays_unlabeled(self, ds):
         p = _mk_partition([s.id for s in ds.samples], [0] * 5 + [1, 1, 1])
-        out = label_communities(p, ds, voters=["s0", "s1", "s2"])
+        out = label_communities(p, ds, voters=np.arange(8) < 3)   # s0, s1, s2
         assert out.community_labels[0] == "adware"   # only comm-0 voters count
         assert out.community_labels[1] is None
 
     def test_unlabeled_samples_never_vote(self, ds):
         # s5 has no family; a community of {s5, s7} must label from s7 alone
         p = _mk_partition([s.id for s in ds.samples], [0] * 5 + [1, 0, 1])
-        out = label_communities(p, ds, voters=ds.ids)
+        out = label_communities(p, ds, voters=np.ones(8, dtype=bool))
         assert out.community_labels[1] == "clicker"
 
     @given(rows=st.lists(st.tuples(st.sampled_from([None, "adware", "botnet", "clicker"]),
@@ -451,17 +462,20 @@ class TestLabelCommunities:
         # None families never vote; memberships leave singletons and empty ids
         ds = Dataset(tuple(_mk_sample(f"s{i}", fam) for i, (fam, _, _) in enumerate(rows)))
         p = _mk_partition(ds.ids, [c for _, c, _ in rows])
-        voters = [sid for sid, (_, _, v) in zip(ds.ids, rows) if v]
-        out = label_communities(p, ds, voters)
+        mask = np.array([v for _, _, v in rows], dtype=bool)
+        voters = [sid for sid, v in zip(ds.ids, mask) if v]
+        out = label_communities(p, ds, mask)
         assert out.families == ds.families
         assert out.community_labels == reference_labels(p, ds, voters)
+        assert (label_communities(p, ds).community_labels
+                == reference_labels(p, ds, ds.ids))
 
-    def test_unknown_voter_raises_keyerror(self, ds):
-        p = _mk_partition([s.id for s in ds.samples], [0] * 8)
-        with pytest.raises(KeyError, match="ghost"):
-            label_communities(p, ds, voters=["s0", "ghost"])
+    def test_partition_out_of_dataset_order_raises(self, ds):
+        p = _mk_partition([s.id for s in reversed(ds.samples)], [0] * 8)
+        with pytest.raises(ValueError, match="dataset order"):
+            label_communities(p, ds)
 
     def test_original_partition_untouched(self, ds):
         p = _mk_partition([s.id for s in ds.samples], [0] * 8)
-        label_communities(p, ds, voters=ds.labeled_ids)
+        label_communities(p, ds)
         assert set(p.community_labels.values()) == {None}

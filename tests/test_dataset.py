@@ -49,12 +49,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.family_codes[0] = 0
 
-    def test_indices_of(self):
-        ds = Dataset(tuple(make_sample(i) for i in range(4)))
-        assert ds.indices_of(["s3", "s0"]).tolist() == [3, 0]
-        with pytest.raises(KeyError):
-            ds.indices_of(["s0", "ghost"])
-
     def test_subset_keeps_order(self):
         ds = Dataset(tuple(make_sample(i) for i in range(5)))
         sub = ds.subset(["s3", "s0"])
@@ -125,6 +119,19 @@ class TestLoadErrors:
             ds = load_dataset(path, skip_invalid=True)
         assert ds.ids == ("ok", "ok2")
         assert any("line 2" in r.message for r in caplog.records)
+
+    def test_skip_invalid_names_each_line_once(self, tmp_path, caplog):
+        path = tmp_path / "mixed.jsonl"
+        path.write_text('{"id":"ok","api_sequence":["x"]}\n'
+                        'garbage\n'
+                        '{"id":"ok","api_sequence":[]}\n')
+        with caplog.at_level("WARNING"):
+            ds = load_dataset(path, skip_invalid=True)
+        assert ds.ids == ("ok",)
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping line 2: invalid JSON (Expecting value)",
+            "skipping line 3: sample 'ok', field 'id': duplicate sample id",
+        ]
 
     def test_undecodable_line_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -139,7 +139,7 @@ class TestClassify:
     def test_report_rejects_partition_out_of_dataset_order(self, clean_ds):
         ds, t = clean_ds
         g = build_graph(t, WeightVector.equal(), 0.9)
-        p = label_communities(louvain(g, 0), ds, ds.labeled_ids)
+        p = label_communities(louvain(g, 0), ds)
         assert report_from_partition(g, p, ds).accuracy == 1.0
         with pytest.raises(ValueError, match="dataset order"):
             report_from_partition(g, p, Dataset(tuple(reversed(ds.samples))))
@@ -147,7 +147,7 @@ class TestClassify:
     def test_report_rejects_partition_labeled_with_other_families(self, clean_ds):
         ds, t = clean_ds
         g = build_graph(t, WeightVector.equal(), 0.9)
-        p = label_communities(louvain(g, 0), ds, ds.labeled_ids)
+        p = label_communities(louvain(g, 0), ds)
         renamed = Dataset(tuple(replace(s, family="x" + s.family)
                                 for s in ds.samples))
         with pytest.raises(ValueError, match="families"):
@@ -174,10 +174,10 @@ class TestClassify:
                              np.full(int(memb.max()) + 1, -1, dtype=np.int64), 1)
 
         g = build_graph(t, WeightVector.equal(), 0.9)
-        subset = [sid for sid, (_, _, v) in zip(ds.ids, rows) if v]
+        subset = np.array([v for _, _, v in rows], dtype=bool)
         cfg = OptimizerConfig(iterations=1, threshold=0.9, seed=0)
         with mock.patch.object(simnet.community, "louvain", fixed_louvain):
-            for voters in (ds.labeled_ids, subset):
+            for voters in (None, subset):
                 p = label_communities(fixed_louvain(g, 0), ds, voters)
                 rep = report_from_partition(g, p, ds)
                 confusion, predictions = reference_report(p, ds)
@@ -187,14 +187,15 @@ class TestClassify:
                 assert rep.accuracy == (reference_correct(p, ds, ds.labeled_ids)
                                         / len(ds.labeled_ids))
 
-            p = label_communities(fixed_louvain(g, 0), ds, ds.labeled_ids)
+            p = label_communities(fixed_louvain(g, 0), ds)
             want = 1.0 - reference_correct(p, ds, ds.labeled_ids) / len(ds.labeled_ids)
             assert clustering_error(t, ds, WeightVector.equal(), 0.9, 0) == want
 
             cv = kfold_crossval(ds, 2, cfg, tensor=t)
             for fold, test_ids in zip(cv.per_fold, stratified_folds(ds, 2, cfg.seed)):
-                voters = [sid for sid in ds.labeled_ids if sid not in test_ids]
-                p = label_communities(fixed_louvain(g, 0), ds, voters)
+                voters = {sid for sid in ds.labeled_ids if sid not in test_ids}
+                p = label_communities(fixed_louvain(g, 0), ds,
+                                      np.array([sid in voters for sid in ds.ids]))
                 assert fold.prediction_accuracy == (
                     reference_correct(p, ds, test_ids) / len(test_ids))
 
