@@ -6,13 +6,18 @@ modularity), then aggregation of communities into super-nodes whose
 intra-community weight becomes a self-loop.
 
 Weight optimization runs Louvain thousands of times per search, so the
-local moves live in one pure-Python kernel over CSR adjacency held in
-Python lists, which CPython indexes far faster than numpy arrays.  A node
-rescans its edges only after a neighbour changed community; otherwise it
-reuses the community weight sums of its last scan.  Those are exactly what
-a rescan would add up (same neighbours, same communities, same order), so
-every gain, tie-break and partition is the same as with a rescan on every
-visit.
+local moves live in one kernel over CSR adjacency.  A node rescans its
+edges only after a neighbour changed community; otherwise it reuses the
+community weight sums of its last scan.  Those are exactly what a rescan
+would add up (same neighbours, same communities, same order), so every
+gain, tie-break and partition is the same as with a rescan on every visit.
+The kernel runs compiled from ``_kernels.c`` on numpy arrays when a C
+compiler is available (see ``_kernels``); otherwise `_local_moves` runs
+it in Python on lists, which CPython indexes far faster than numpy
+arrays.  The C code is a line-for-line port that keeps every float
+operation in Python's order, so both give the same partitions and move
+logs, and `_local_moves` is the reference the compiled kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import _kernels
 from .dataset import Dataset
 from .netgraph import SimilarityGraph, build_graph
 from .similarity import SimilarityTensor, WeightVector
@@ -214,15 +220,20 @@ def _run_level(n, src, dst, w, self_w, order):
     """Local moves from singletons on one level's graph.
 
     Returns (comm, moves) as int64 arrays, moves as (node, from, to) rows.
-    An edgeless level has no moves and builds no CSR.
+    An edgeless level has no moves and builds no CSR.  The compiled kernel
+    runs when it is available, else `_local_moves`; both give the same.
     """
     if len(src) == 0:
         return np.arange(n, dtype=np.int64), np.empty((0, 3), dtype=np.int64)
-    indptr, indices, weights = (a.tolist() for a in _build_csr(n, src, dst, w))
-    k = _weighted_degrees(n, src, dst, w, self_w).tolist()
+    csr = _build_csr(n, src, dst, w)
+    k = _weighted_degrees(n, src, dst, w, self_w)
     m = float(w.sum()) + float(self_w.sum())
+    kernels = _kernels.load()
+    if kernels is not None:
+        return kernels.local_moves(*csr, k, m, order)
     moves = []
-    comm = _local_moves(indptr, indices, weights, k, m, order.tolist(), moves)
+    comm = _local_moves(*(a.tolist() for a in csr), k.tolist(), m, order.tolist(),
+                        moves)
     return (np.array(comm, dtype=np.int64),
             np.array(moves, dtype=np.int64).reshape(-1, 3))
 

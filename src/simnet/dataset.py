@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -164,13 +165,34 @@ def _record_to_sample(rec: dict, line_no: int) -> Sample:
     )
 
 
+# after JSON decoding, a valid surrogate pair is one astral code point, so any
+# surrogate code point left in a string is a lone one
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _reject_lone_surrogates(s: Sample) -> None:
+    """Raise ValidationError for the first string field holding a lone surrogate.
+
+    Such a string is not Unicode text: it cannot be encoded as UTF-8, so it
+    would fail later, in the digests or in an artifact write.
+    """
+    fields = (("id", (s.id,)), ("family", (s.family or "",)),
+              ("api_sequence", s.api_sequence), ("permissions", s.permissions),
+              ("activity_names", s.activity_names), ("file_names", s.file_names))
+    for name, values in fields:
+        if any(_SURROGATE.search(v) for v in values):
+            raise ValidationError(s.id, name, "contains a lone surrogate escape")
+
+
 def load_dataset(path, skip_invalid: bool = False) -> Dataset:
     """Read a JSONL dataset.
 
     Each line is one record with fields ``id``, optional ``family``,
     ``api_sequence`` (ordered list), and the three set-valued fields.
-    With ``skip_invalid`` bad lines and duplicate ids are logged and
-    dropped instead of raising.
+    Undecodable bytes and JSON nested too deep for the decoder are a
+    ParseError; a string holding an escaped lone surrogate is a
+    ValidationError.  With ``skip_invalid`` bad lines and duplicate ids are
+    logged and dropped instead of raising.
     """
     samples: list[Sample] = []
     seen: set[str] = set()
@@ -190,7 +212,13 @@ def load_dataset(path, skip_invalid: bool = False) -> Dataset:
                     rec = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise ParseError(line_no, f"invalid JSON ({e.msg})") from e
+                except RecursionError as e:
+                    raise ParseError(line_no, "invalid JSON (nesting too deep)") from e
                 sample = _record_to_sample(rec, line_no)
+                # only an escape can put a lone surrogate into a decoded string;
+                # one backslash is a memchr, far cheaper than searching for "\u"
+                if "\\" in line:
+                    _reject_lone_surrogates(sample)
                 if sample.id in seen:
                     raise ValidationError(sample.id, "id", "duplicate sample id")
             except DatasetError as e:

@@ -1,18 +1,23 @@
 """Per-feature pairwise similarities and their weighted fusion.
 
 API-call sequences are compared with Nilsimsa locality-sensitive hashing;
-the three string-set features use Jaccard.  A digest gathers every
-per-byte lookup of the trigram hash from one (256, 32) table in a single
-take, forms each combination's buckets with wrapping uint8 arithmetic and
-counts them with one bincount.  Both pairwise measures run on one blocked
-popcount kernel over bit-packed uint64 rows: Nilsimsa counts the differing
-bits of two digests (xor), Jaccard the shared tokens of two sets' packed
-token incidence (and).  Both are symmetric with a unit diagonal, so the
-kernel computes only the upper triangle and each block's strict upper
-part goes straight into a condensed vector of the n(n−1)/2 pairs.  The
-four condensed features are computed once into a SimilarityTensor;
-fusing them under a WeightVector is a linear reweighting, so weight search
-never touches raw features again.
+the three string-set features use Jaccard.  Every per-byte lookup of the
+trigram hash sits in one (256, 32) table, and a combination's bucket is a
+wrapping uint8 ``(a ^ b) + c`` of three of them.  When a C compiler is
+available (see ``_kernels``), one call of the compiled kernel digests all
+samples, walking each buffer once; otherwise `_digest_bits` gathers one
+buffer's lookups in a single take and counts the buckets with one
+bincount.  Both give the same bytes, and `_digest_bits` is the reference
+the compiled kernel is tested against.
+
+Both pairwise measures run on one blocked popcount kernel over bit-packed
+uint64 rows: Nilsimsa counts the differing bits of two digests (xor),
+Jaccard the shared tokens of two sets' packed token incidence (and).  Both
+are symmetric with a unit diagonal, so the kernel computes only the upper
+triangle and each block's strict upper part goes straight into a condensed
+vector of the n(n−1)/2 pairs.  The four condensed features are computed
+once into a SimilarityTensor; fusing them under a WeightVector is a linear
+reweighting, so weight search never touches raw features again.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _kernels
 from .dataset import Dataset, Sample
 
 FEATURES = ("api", "permission", "activity", "file")
@@ -400,8 +406,16 @@ class SimilarityTensor:
 
 
 def _digest_rows(ds: Dataset) -> np.ndarray:
-    """Stack every sample's sequence digest into an (n, 32) uint8 array."""
-    bits = b"".join(_digest_bits(_serialize_sequence(s.api_sequence)) for s in ds)
+    """Stack every sample's sequence digest into an (n, 32) uint8 array.
+
+    All digests come from one call of the compiled kernel when it is
+    available, else one `_digest_bits` per sample; both give the same bytes.
+    """
+    buffers = (_serialize_sequence(s.api_sequence) for s in ds)
+    kernels = _kernels.load()
+    if kernels is not None:
+        return kernels.digest_rows(buffers, _LOOKUP)
+    bits = b"".join(_digest_bits(b) for b in buffers)
     return np.frombuffer(bits, dtype=np.uint8).reshape(len(ds), 32)
 
 

@@ -152,6 +152,30 @@ class TestExitCodes:
         assert main(["ingest", "--dataset", str(bad), "--skip-invalid"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["samples"] == 1
 
+    def test_deep_nesting_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": "a", "api_sequence": ["x.y"]}\n' + "[" * 200_000 + "\n",
+                       encoding="utf-8")
+        assert main(["ingest", "--dataset", str(bad)]) == EXIT_DATA
+        assert "line 2: invalid JSON (nesting too deep)" in capsys.readouterr().err
+        assert main(["ingest", "--dataset", str(bad), "--skip-invalid"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["samples"] == 1
+
+    @pytest.mark.parametrize("record,field", [
+        ('{"id": "b\\ud800", "api_sequence": ["x.y"]}', "id"),
+        ('{"id": "b", "api_sequence": ["x.y", "\\udc00"]}', "api_sequence"),
+        ('{"id": "b", "api_sequence": [], "activity_names": ["\\ud800x"]}',
+         "activity_names"),
+    ], ids=["id", "api-token", "set-member"])
+    def test_lone_surrogate_is_data_error(self, tmp_path, capsys, record, field):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": "a", "api_sequence": ["x.y"]}\n' + record + "\n",
+                       encoding="utf-8")
+        assert main(["ingest", "--dataset", str(bad)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"field {field!r}: contains a lone surrogate escape" in err
+        assert "sample 'b" in err
+
     # the library's rules, reported as usage errors before any work
     @pytest.mark.parametrize("command,flags,message", [
         pytest.param("generate", ["--families", "0"],

@@ -152,6 +152,40 @@ class TestLoadErrors:
         assert ds.ids == ("\u00e9", "c")
         assert any("line 2: invalid UTF-8" in r.message for r in caplog.records)
 
+    def test_deep_nesting_is_parse_error(self, tmp_path, caplog):
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"id":"a","api_sequence":[]}\n' + "[" * 200_000 + "\n")
+        with pytest.raises(ParseError, match="nesting too deep") as exc:
+            load_dataset(path)
+        assert exc.value.line_no == 2
+        with caplog.at_level("WARNING"):
+            assert load_dataset(path, skip_invalid=True).ids == ("a",)
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping line 2: invalid JSON (nesting too deep)"]
+
+    @pytest.mark.parametrize("field,record", [
+        ("id", '{"id":"b\\ud800","api_sequence":[]}'),
+        ("family", '{"id":"b","family":"\\udfff","api_sequence":[]}'),
+        ("api_sequence", '{"id":"b","api_sequence":["x","\\uDC00y"]}'),
+        ("permissions", '{"id":"b","api_sequence":[],"permissions":["\\ud83d"]}'),
+        ("file_names", '{"id":"b","api_sequence":[],"file_names":["\\ude00\\ud83d"]}'),
+    ])
+    def test_lone_surrogate_escape_is_validation_error(self, tmp_path, field, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id":"a","api_sequence":["x"]}\n' + record + "\n")
+        with pytest.raises(ValidationError, match="lone surrogate") as exc:
+            load_dataset(path)
+        assert exc.value.fieldname == field
+        assert exc.value.sample_id.startswith("b")
+        assert load_dataset(path, skip_invalid=True).ids == ("a",)
+
+    def test_escaped_surrogate_pairs_and_backslashes_load(self, tmp_path):
+        path = tmp_path / "ok.jsonl"
+        path.write_text('{"id":"\\ud83d\\ude00","api_sequence":["\\\\ud800","\\u00e9"]}\n')
+        s = load_dataset(path).samples[0]
+        assert s.id == "\U0001F600"
+        assert s.api_sequence == ("\\ud800", "\u00e9")
+
     def test_universal_newlines(self, tmp_path):
         path = tmp_path / "crlf.jsonl"
         path.write_bytes(b'{"id":"a","api_sequence":["x"]}\r\n'

@@ -77,7 +77,8 @@ class TestClusteringError:
 
         # patch every simnet module that holds one of these names
         for mod in [m for k, m in sys.modules.items() if k.startswith("simnet")]:
-            for name in ("_digest_bits", "_jaccard_matrix", "build_similarity_tensor"):
+            for name in ("_digest_rows", "_digest_bits", "_jaccard_matrix",
+                         "build_similarity_tensor"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, forbidden)
         with pytest.raises(AssertionError, match="raw-feature"):
@@ -268,6 +269,27 @@ class TestDeriveSeed:
     def test_output_fits_numpy_seeding(self):
         s = derive_seed(123, 456, 789)
         assert 0 <= s < 2 ** 64
+
+
+class TestNumpyStreams:
+    """Raw draws of the numpy streams that every golden depends on: Louvain's
+    and the fold split's `permutation`, the proposals' `integers` and
+    `derive_seed`'s `SeedSequence`.  numpy does not promise stable
+    `Generator` streams across versions; if an upgrade breaks every golden
+    at once, this test names the cause."""
+
+    def test_permutation(self):
+        assert np.random.default_rng(0).permutation(10).tolist() == [
+            4, 6, 2, 7, 3, 5, 9, 0, 8, 1]
+
+    def test_integers(self):
+        rng = np.random.default_rng(12345)
+        assert [int(rng.integers(4)) for _ in range(10)] == [2, 0, 3, 1, 0, 3, 2, 2, 3, 1]
+        assert [int(rng.integers(2)) for _ in range(10)] == [1, 0, 1, 1, 0, 0, 0, 1, 1, 1]
+
+    def test_seed_sequence(self):
+        assert np.random.SeedSequence([7, 3]).generate_state(2, np.uint64).tolist() == [
+            5061563556724077661, 9433490490806083541]
 
 
 class TestThresholdSweep:
