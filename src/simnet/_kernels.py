@@ -1,13 +1,16 @@
 """Build, cache and load the compiled kernels of ``_kernels.c``.
 
 The first call to ``load`` in a process compiles the C source with the
-system C compiler, once per source sha256, into ``$XDG_CACHE_HOME/simnet``
-(default ``~/.cache/simnet``), and loads it with ctypes.  The build writes
-to a temporary name and renames it into place, so concurrent processes
-never load a half-written library.  When there is no compiler, the build
-fails or the cache directory is not writable, ``load`` logs one warning
-and returns None, and callers run the Python kernels, which give the same
-results.  Importing this module starts no process and imports no ctypes.
+system C compiler into ``$XDG_CACHE_HOME/simnet`` (default
+``~/.cache/simnet``), and loads it with ctypes.  The library is named by
+the sha256 of everything that shapes it: the source, the compiler flags
+and the machine architecture, so a changed flag or a home directory shared
+by two architectures gets its own build.  The build writes to a temporary
+name and renames it into place, so concurrent processes never load a
+half-written library.  When there is no compiler, the build fails or the
+cache directory is not writable, ``load`` logs one warning and returns
+None, and callers run the Python kernels, which give the same results.
+Importing this module starts no process and imports no ctypes.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import contextlib
 import functools
 import logging
 import os
+import platform
 import shutil
 from collections.abc import Iterable
 from pathlib import Path
@@ -56,7 +60,9 @@ def _build(source: bytes) -> Path:
     import hashlib
     import subprocess
 
-    lib = cache_dir() / f"_kernels-{hashlib.sha256(source).hexdigest()}.so"
+    # platform, not os.uname, which Windows lacks; numpy has imported it already
+    key = b"\0".join([source, *map(str.encode, CFLAGS), platform.machine().encode()])
+    lib = cache_dir() / f"_kernels-{hashlib.sha256(key).hexdigest()}.so"
     if lib.is_file():
         return lib
     cc = compiler()
@@ -98,11 +104,14 @@ class Kernels:
         self._lib = lib
 
     def local_moves(self, indptr, indices, weights, k, m: float, order):
-        """community._local_moves on numpy CSR arrays; returns (comm, moves).
+        """community._local_moves's result on numpy CSR arrays: (comm, moves).
 
-        ``moves`` is an (n_moves, 3) int64 array of (node, from, to) rows.
-        A level whose log overflows runs again with a log of exactly its
-        length; the kernel is deterministic, so that gives the same moves.
+        The C kernel rescans a node's edges on every visit; `_local_moves`
+        reuses a node's community sums until a neighbour moves, a cache
+        that pays off only in CPython.  Both give the same partition and
+        moves.  ``moves`` is an (n_moves, 3) int64 array of (node, from, to)
+        rows.  A level whose log overflows runs again with a log of exactly
+        its length; the kernel is deterministic, so that gives the same moves.
         """
         n = len(k)
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)

@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 
 from .community import Partition, cluster
-from .dataset import Dataset, DatasetError, generate_planted, load_dataset, save_dataset
+from .dataset import (Dataset, DatasetError, atomic_write, generate_planted, load_dataset,
+                      save_dataset)
 from .evaluation import (CLASSIFY_SALT, UNLABELED, ClusteringReport,
                          kfold_crossval, report_from_partition, stratified_folds)
 from .netgraph import SimilarityGraph
@@ -76,8 +77,9 @@ def _out_file(path) -> Path:
 
 
 def _write(path, text: str) -> None:
-    """Write one text output file, creating its directory."""
-    _out_file(path).write_text(text, encoding="utf-8")
+    """Write one text output file atomically, creating its directory."""
+    with atomic_write(_out_file(path)) as fh:
+        fh.write(text)
 
 
 def _json_dump(obj, path) -> None:

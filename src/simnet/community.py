@@ -6,17 +6,17 @@ modularity), then aggregation of communities into super-nodes whose
 intra-community weight becomes a self-loop.
 
 Weight optimization runs Louvain thousands of times per search, so the
-local moves live in one kernel over CSR adjacency.  A node rescans its
-edges only after a neighbour changed community; otherwise it reuses the
-community weight sums of its last scan.  Those are exactly what a rescan
-would add up (same neighbours, same communities, same order), so every
-gain, tie-break and partition is the same as with a rescan on every visit.
-The kernel runs compiled from ``_kernels.c`` on numpy arrays when a C
-compiler is available (see ``_kernels``); otherwise `_local_moves` runs
-it in Python on lists, which CPython indexes far faster than numpy
-arrays.  The C code is a line-for-line port that keeps every float
-operation in Python's order, so both give the same partitions and move
-logs, and `_local_moves` is the reference the compiled kernel is tested
+local moves live in one kernel over CSR adjacency.  When a C compiler is
+available (see ``_kernels``), the kernel compiled from ``_kernels.c`` runs
+on numpy arrays: the plain algorithm, where every visit rescans the node's
+edges.  Otherwise `_local_moves` runs in Python on lists, which CPython
+indexes far faster than numpy arrays, and saves work CPython makes dear: a
+node rescans its edges only after a neighbour changed community, and
+otherwise reuses the community weight sums of its last scan.  Those are
+exactly what a rescan would add up (same neighbours, same communities,
+same order), and the C code keeps every float operation in Python's
+order, so both kernels give the same gains, tie-breaks, partitions and
+move logs.  `_local_moves` is the reference the compiled kernel is tested
 against.
 """
 

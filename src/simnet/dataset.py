@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
+import os
 import random
 import re
+import shutil
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -233,12 +236,36 @@ def load_dataset(path, skip_invalid: bool = False) -> Dataset:
     return Dataset(tuple(samples))
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Yield a file handle whose contents replace ``path`` when the block ends.
+
+    The handle writes to a pid-named temporary file beside ``path``, renamed
+    into place only after the block succeeds, so a reader sees the old file
+    or the new one, and a failed write leaves the old file and no temporary
+    one.  As with a write in place, a symlinked ``path`` is followed and an
+    existing file keeps its permission bits.  Text modes write UTF-8.
+    """
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write JSONL that round-trips through load_dataset.
+    """Write JSONL that round-trips through load_dataset, atomically.
 
     Set-valued fields are sorted so output is byte-stable.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for s in dataset:
             rec: dict = {"id": s.id}
             if s.family is not None:

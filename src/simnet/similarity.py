@@ -22,10 +22,8 @@ reweighting, so weight search never touches raw features again.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .dataset import Dataset, Sample
+from .dataset import Dataset, Sample, atomic_write
 
 FEATURES = ("api", "permission", "activity", "file")
 
@@ -344,19 +342,13 @@ class SimilarityTensor:
             "features": list(FEATURES),
             "sample_order": list(self.sample_order),
         }
-        path = os.fspath(path)
-        tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(json.dumps(header, separators=(",", ":")).encode("ascii"))
-                fh.write(b"\n")
-                for v in self.vectors():
-                    fh.write(np.ascontiguousarray(v, dtype=np.float64).tobytes())
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
-            raise
+        # the vectors stream to the file one by one: joining them first
+        # would hold a second copy of the tensor at the peak of a save
+        with atomic_write(path, "wb") as fh:
+            fh.write(json.dumps(header, separators=(",", ":")).encode("ascii"))
+            fh.write(b"\n")
+            for v in self.vectors():
+                fh.write(np.ascontiguousarray(v, dtype=np.float64).tobytes())
 
     @classmethod
     def _read_header(cls, line: bytes) -> tuple[int, tuple[str, ...]]:

@@ -1,9 +1,9 @@
 """Full-rescan Louvain local moves, used only as a test oracle.
 
 Every visit rescans the node's whole CSR row to rebuild its neighbouring
-communities' weight sums, as the kernel did before it reused those sums.
-The production kernel must give the same partitions and move logs on
-every level.
+communities' weight sums, as the compiled kernel in ``_kernels.c`` does;
+the Python kernel `_local_moves` reuses those sums until a neighbour
+moves.  Both must give the same partitions and move logs on every level.
 """
 
 import numpy as np

@@ -1,13 +1,17 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import simnet
 import simnet.optimizer
@@ -15,7 +19,7 @@ from simnet import (FEATURES, Dataset, OptimizerConfig, SimilarityTensor,
                     WeightVector, build_similarity_tensor, classify,
                     derive_seed, generate_planted, load_dataset, save_dataset)
 from simnet.cli import (EXIT_DATA, EXIT_OK, EXIT_PIPELINE, EXIT_USAGE,
-                        _threshold_list_arg, build_parser, main, parse_args,
+                        _threshold_list_arg, _write, build_parser, main, parse_args,
                         parse_threshold, parse_weights)
 from test_similarity import CORRUPT_HEADERS, OUT_OF_RANGE, patch_pair
 
@@ -684,3 +688,113 @@ class TestPlantedExperiment:
             assert row[4:] == ["unlabeled", str(report["unlabeled_count"]),
                                "isolated", str(len(report["no_connection_ids"]))]
         assert int(printed[0][5]) > 0
+
+
+def _fail_after_first(items):
+    """Yield the first item, then fail as a full disk would."""
+    yield items[0]
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("writer", ["artifact", "dataset", "tensor"])
+def test_a_write_failing_midway_keeps_the_previous_file(writer, small_ds, small_tensor,
+                                                        tmp_path, monkeypatch):
+    path = tmp_path / "out"
+    path.write_bytes(b"previous\n")
+    with pytest.raises((OSError, UnicodeEncodeError)):
+        if writer == "artifact":   # every --out file goes through _write
+            _write(path, "graph\n" * 10_000 + "\ud800")
+        elif writer == "dataset":
+            save_dataset(_fail_after_first(list(small_ds)), path)
+        else:
+            vectors = small_tensor.vectors()
+            monkeypatch.setattr(SimilarityTensor, "vectors",
+                                lambda self: _fail_after_first(vectors))
+            small_tensor.save(path)
+    assert path.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+# ---------------------------------------------------------------------------
+# byte-level mutations of a valid corpus
+# ---------------------------------------------------------------------------
+
+def _corpus_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "corpus.jsonl"
+        save_dataset(generate_planted(3, 6, 0.10, seed=5), path)
+        return path.read_bytes()
+
+
+_CORPUS = _corpus_bytes()   # a valid 3x6 corpus, 18 lines
+_FIELDS = ("id", "family", "api_sequence", "permissions", "activity_names",
+           "file_names", "extra")
+_WRONG_VALUES = (None, 0, -1.5, True, "", "x", [], [1, 2], ["a", None], {}, {"a": 1})
+_ESCAPES = (b"\\ud800", b"\\udfff", b"\\ud83d\\ude00", b"\\u0000", b"\\\\", b'\\"',
+            b"\\n", b"\\x", b"\\u12", "é".encode(), b"\xff", b"\xed\xa0\x80")
+
+
+@st.composite
+def mutated_corpora(draw):
+    """The 3x6 corpus after one to three truncations, byte flips, wrong-typed
+    fields, deeply nested values, escapes or duplicated lines."""
+    data = bytearray(_CORPUS)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ["truncate", "flip", "wrong-type", "nest", "escape", "duplicate"]))
+        lines = data.splitlines(keepends=True) or [b""]
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "truncate":
+            del data[draw(st.integers(0, len(data))):]
+        elif kind == "flip" and data:
+            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        elif kind in ("wrong-type", "nest"):
+            try:
+                rec = json.loads(lines[i])
+            except (ValueError, RecursionError):   # an earlier mutation broke it
+                continue
+            if not isinstance(rec, dict):
+                continue
+            field = draw(st.sampled_from(_FIELDS))
+            if kind == "wrong-type":
+                rec[field] = draw(st.sampled_from(_WRONG_VALUES))
+                lines[i] = json.dumps(rec).encode() + b"\n"
+            else:
+                depth = draw(st.sampled_from([2, 900, 1100, 100_000]))
+                rec[field] = "NEST"
+                lines[i] = json.dumps(rec).encode().replace(
+                    b'"NEST"', b"[" * depth + b"]" * depth) + b"\n"
+            data = bytearray(b"".join(lines))
+        elif kind == "escape":
+            quotes = [j for j, c in enumerate(data) if c == ord('"')]
+            if quotes:
+                j = draw(st.sampled_from(quotes)) + 1
+                data[j:j] = draw(st.sampled_from(_ESCAPES))
+        elif kind == "duplicate":
+            data += lines[i]
+    return bytes(data)
+
+
+def _run(argv):
+    """main(argv) in-process, with its stdout captured; returns (rc, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+@given(data=mutated_corpora(), skip=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_a_mutated_corpus_is_refused_or_fully_processed(data, skip):
+    """ingest exits 0 or 2, never with a traceback; a corpus it accepts with
+    any sample in it also goes through similarity and export."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "corpus.jsonl"
+        path.write_bytes(data)
+        common = ["--dataset", str(path)] + (["--skip-invalid"] if skip else [])
+        rc, out = _run(["ingest", *common])
+        assert rc in (EXIT_OK, EXIT_DATA)
+        if rc == EXIT_OK and json.loads(out)["samples"]:
+            assert _run(["similarity", *common])[0] == EXIT_OK
+            graph = str(Path(d) / "graph.json")
+            assert _run(["export", *common, "--out", graph])[0] == EXIT_OK

@@ -364,8 +364,9 @@ def levels(draw):
 
 
 class TestKernelMatchesFullRescan:
-    """The kernel reuses a node's community sums until a neighbour moves;
-    it must agree move for move with a kernel that rescans on every visit."""
+    """`_local_moves` reuses a node's community sums until a neighbour moves;
+    it, and `_run_level` with whichever kernel is active, must agree move for
+    move with a kernel that rescans on every visit."""
 
     @given(level=levels())
     @settings(max_examples=400, deadline=None)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from simnet import (Dataset, ParseError, Sample, ValidationError,
                     generate_planted, load_dataset, save_dataset)
+from simnet.dataset import atomic_write
 
 
 def make_sample(i, family="famA", seq=("a", "b", "c")):
@@ -85,6 +86,41 @@ class TestRoundTrip:
         path = tmp_path_factory.mktemp("rt") / "ds.jsonl"
         save_dataset(ds, path)
         assert load_dataset(path).samples == ds.samples
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("mode, data", [("w", "new é\n"), ("wb", b"new\n")])
+    def test_replaces_the_file_when_the_block_ends(self, tmp_path, mode, data):
+        path = tmp_path / "f"
+        path.write_bytes(b"old\n")
+        with atomic_write(path, mode) as fh:
+            fh.write(data)
+            assert path.read_bytes() == b"old\n"
+        assert path.read_bytes() == (data.encode() if mode == "w" else data)
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+    def test_writes_through_a_symlink_and_keeps_the_mode(self, tmp_path):
+        (tmp_path / "target").write_bytes(b"old\n")
+        (tmp_path / "target").chmod(0o600)
+        (tmp_path / "link").symlink_to("target")
+        with atomic_write(tmp_path / "link") as fh:
+            fh.write("new\n")
+        assert (tmp_path / "link").is_symlink()
+        assert (tmp_path / "target").read_bytes() == b"new\n"
+        assert (tmp_path / "target").stat().st_mode & 0o777 == 0o600
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "target"]
+
+    def test_a_failure_after_written_bytes_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(b"old\n")
+        with pytest.raises(RuntimeError, match="midway"):
+            with atomic_write(path) as fh:
+                fh.write("partial")
+                fh.flush()   # bytes on disk, in the temporary file
+                assert len(list(tmp_path.iterdir())) == 2
+                raise RuntimeError("midway")
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
 
 
 class TestLoadErrors:

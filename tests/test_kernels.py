@@ -1,15 +1,19 @@
 """The compiled kernels of _kernels.c against their Python references.
 
-Each C entry point ports a Python function that stays in the package as the
-fallback: `_local_moves` and `_digest_bits`.  These tests run both on the
-same inputs and require identical results.  Wherever a C compiler is on
-PATH the compiled kernels must be active, so that such a Tier-1 run cannot
-skip the comparison; without one, the fallback must give the same partitions
-and digests and warn once.
+Each C entry point computes what a Python function in the package computes,
+and that function stays as the fallback: `_local_moves` and `_digest_bits`.
+The two local-move kernels are different algorithms: the C one rescans a
+node's edges on every visit, the Python one reuses a node's community sums
+until a neighbour moves.  These tests run both on the same inputs and
+require identical results.  Wherever a C compiler is on PATH the compiled
+kernels must be active, so that such a Tier-1 run cannot skip the
+comparison; without one, the fallback must give the same partitions and
+digests and warn once.
 """
 
 import hashlib
 import logging
+import platform
 
 import numpy as np
 import pytest
@@ -43,13 +47,19 @@ def test_active_when_a_compiler_is_on_path():
         "see the warning logged by simnet._kernels")
 
 
+def library_name():
+    """The cache file name: the sha256 of the source, CFLAGS and the machine."""
+    key = b"\0".join([_kernels.SOURCE.read_bytes(), *map(str.encode, _kernels.CFLAGS),
+                      platform.machine().encode()])
+    return f"_kernels-{hashlib.sha256(key).hexdigest()}.so"
+
+
 def test_build_is_cached_by_source_sha256(tmp_path, monkeypatch, caplog, fresh_load):
     if _kernels.compiler() is None:
         pytest.skip("no C compiler on PATH")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     kernels = _kernels.load()
-    sha = hashlib.sha256(_kernels.SOURCE.read_bytes()).hexdigest()
-    assert kernels.path == tmp_path / "simnet" / f"_kernels-{sha}.so"
+    assert kernels.path == tmp_path / "simnet" / library_name()
     assert [p.name for p in (tmp_path / "simnet").iterdir()] == [kernels.path.name]
     # a later process loads the cached build without a compiler, and silently
     _kernels.load.cache_clear()
@@ -57,6 +67,31 @@ def test_build_is_cached_by_source_sha256(tmp_path, monkeypatch, caplog, fresh_l
     with caplog.at_level(logging.WARNING, logger="simnet._kernels"):
         assert _kernels.load().path == kernels.path
     assert caplog.records == []
+
+
+@pytest.mark.parametrize("change", ["cflags", "machine"])
+def test_other_flags_or_machine_build_a_second_library(change, tmp_path, monkeypatch,
+                                                        fresh_load):
+    if _kernels.compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    first = _kernels.load().path
+    _kernels.load.cache_clear()
+    if change == "cflags":
+        monkeypatch.setattr(_kernels, "CFLAGS", (*_kernels.CFLAGS, "-g"))
+    else:
+        other = "riscv64" if platform.machine() != "riscv64" else "aarch64"
+        monkeypatch.setattr(platform, "machine", lambda: other)
+    second = _kernels.load()
+    assert second.path.name == library_name() != first.name
+    assert sorted(p.name for p in (tmp_path / "simnet").iterdir()) == sorted(
+        [first.name, second.path.name])
+    # the second library loads and runs
+    level = (3, np.array([0, 1]), np.array([1, 2]), np.ones(2), np.zeros(3), np.arange(3))
+    csr, k, m = python_level(level)
+    comm, moves = python_moves(csr, k, m, level[-1])
+    got_comm, got_moves = second.local_moves(*csr, k, m, level[-1])
+    assert got_comm.tolist() == comm and got_moves.tolist() == moves
 
 
 def python_level(level):
