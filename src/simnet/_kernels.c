@@ -4,11 +4,10 @@
  * function stays in the package as the fallback and the reference:
  * simnet_local_moves gives the partitions and move logs of
  * community._local_moves, simnet_digest_rows the digests of
- * similarity._digest_bits over many buffers.  The C code runs the plain
- * algorithms: a local move rescans the node's edges on every visit, where
- * the Python kernel reuses a node's community sums until a neighbour moves
- * (a cache that pays off only in CPython), and a digest counts into one
- * table.  Results must be bit-identical, so the build uses
+ * similarity._digest_bits over many buffers.  The two kernels of each
+ * pair run one algorithm: a local move rescans the node's edges on every
+ * visit, and a digest counts its buckets into one table of 256 (one
+ * bincount in Python).  Results must be bit-identical, so the build uses
  * -ffp-contract=off (no fused multiply-add) and no -ffast-math, and every
  * float expression keeps the Python evaluation order.
  */
@@ -25,8 +24,8 @@
  * their weights per neighbouring community into `comm_w` (zeros) and
  * listing those communities in `touched` in order of first appearance.  x
  * joins the one with the largest gain k_x_in(C) - tot(C)·k_x/2m, evaluated
- * with x removed, and stays put on ties.  This is the rescan branch of
- * community._local_moves taken on every visit.  Edgeless nodes are
+ * with x removed, and stays put on ties.  community._local_moves is the
+ * same loop in Python, statement for statement.  Edgeless nodes are
  * skipped: no node can join their community.
  *
  * Writes each node's community to `comm` and the first `max_moves` accepted

@@ -106,12 +106,11 @@ class Kernels:
     def local_moves(self, indptr, indices, weights, k, m: float, order):
         """community._local_moves's result on numpy CSR arrays: (comm, moves).
 
-        The C kernel rescans a node's edges on every visit; `_local_moves`
-        reuses a node's community sums until a neighbour moves, a cache
-        that pays off only in CPython.  Both give the same partition and
-        moves.  ``moves`` is an (n_moves, 3) int64 array of (node, from, to)
-        rows.  A level whose log overflows runs again with a log of exactly
-        its length; the kernel is deterministic, so that gives the same moves.
+        The two kernels run one algorithm, a rescan of the node's edges on
+        every visit, and give the same partition and moves.  ``moves`` is
+        an (n_moves, 3) int64 array of (node, from, to) rows.  A level
+        whose log overflows runs again with a log of exactly its length;
+        the kernel is deterministic, so that gives the same moves.
         """
         n = len(k)
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
@@ -134,7 +133,8 @@ class Kernels:
                 raise MemoryError("local_moves: working memory allocation failed")
             if got == -2:
                 raise ValueError("local_moves: order is not a permutation of the "
-                                 "nodes, or the CSR has an index out of range")
+                                 "nodes, or the CSR is malformed (indptr does not "
+                                 "rise from 0, or an index is out of range)")
             if got <= cap:
                 return comm, moves[:got]
             cap = got

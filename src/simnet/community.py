@@ -6,18 +6,15 @@ modularity), then aggregation of communities into super-nodes whose
 intra-community weight becomes a self-loop.
 
 Weight optimization runs Louvain thousands of times per search, so the
-local moves live in one kernel over CSR adjacency.  When a C compiler is
-available (see ``_kernels``), the kernel compiled from ``_kernels.c`` runs
-on numpy arrays: the plain algorithm, where every visit rescans the node's
-edges.  Otherwise `_local_moves` runs in Python on lists, which CPython
-indexes far faster than numpy arrays, and saves work CPython makes dear: a
-node rescans its edges only after a neighbour changed community, and
-otherwise reuses the community weight sums of its last scan.  Those are
-exactly what a rescan would add up (same neighbours, same communities,
-same order), and the C code keeps every float operation in Python's
-order, so both kernels give the same gains, tie-breaks, partitions and
-move logs.  `_local_moves` is the reference the compiled kernel is tested
-against.
+local moves live in one kernel over CSR adjacency: the plain algorithm of
+Blondel et al. (2008), where every visit rescans the node's edges.  When a
+C compiler is available (see ``_kernels``), the copy compiled from
+``_kernels.c`` runs on numpy arrays.  Otherwise `_local_moves` runs in
+Python on lists, which CPython indexes far faster than numpy arrays.  The
+two kernels run one algorithm, line for line, and the C code keeps every
+float operation in Python's order, so both give the same gains,
+tie-breaks, partitions and move logs.  `_local_moves` is the reference
+the compiled kernel is tested against.
 """
 
 from __future__ import annotations
@@ -139,27 +136,18 @@ def _local_moves(indptr, indices, weights, k, m, order, moves):
     Every accepted move is appended to `moves` as (node, from, to).
     Returns each node's community, starting from singletons.
 
-    Scanning node x's CSR row lists the communities it touches, in order
-    of first appearance, with their sums k_x_in(C), in `row_c`/`row_w` at
-    x's own CSR offsets (a row touches at most deg(x) communities);
-    `comm_w` (zeros) accumulates the sums.  From the second sweep on,
-    `n_row[x]` keeps the list's length, and a move sets it to -1 on every
-    neighbour of the moved node.  Only a node at -1 rescans; any other
-    reuses its list, which is exact: a rescan would add the same weights,
-    of the same neighbours in the same communities, in the same order.
-    The first sweep leaves every node at -1, because each node is rescanned
-    in the second sweep anyway.  Edgeless nodes are skipped: no node can
-    join their community, so they never move and its Σtot stays k_x.
+    Every visit of node x rescans its CSR row, summing the edge weights
+    per neighbouring community into `comm_w` (zeros) and listing those
+    communities in `touched` in order of first appearance.  Edgeless nodes
+    are skipped: no node can join their community, so they never move and
+    its Σtot stays k_x.
     """
     n = len(k)
     comm = list(range(n))
     comm_tot = list(k)
     comm_w = [0.0] * n
-    row_c = [0] * len(indices)
-    row_w = [0.0] * len(indices)
-    n_row = [-1] * n
+    touched = []
     two_m = 2.0 * m
-    first_sweep = True
     moved = True
     while moved:
         moved = False
@@ -170,49 +158,29 @@ def _local_moves(indptr, indices, weights, k, m, order, moves):
                 continue
             cx = comm[x]
             kx = k[x]
-            n_c = n_row[x]
-            if n_c < 0:
-                end = lo
-                for e in range(lo, hi):
-                    cy = comm[indices[e]]
-                    if comm_w[cy] == 0.0:
-                        row_c[end] = cy
-                        end += 1
-                    comm_w[cy] += weights[e]
-                own_w = comm_w[cx]
-                for t in range(lo, end):
-                    c = row_c[t]
-                    row_w[t] = comm_w[c]
-                    comm_w[c] = 0.0
-                if not first_sweep:
-                    n_row[x] = end - lo
-            else:
-                end = lo + n_c
-                own_w = 0.0
-                for t in range(lo, end):
-                    if row_c[t] == cx:
-                        own_w = row_w[t]
-                        break
+            for e in range(lo, hi):
+                cy = comm[indices[e]]
+                if comm_w[cy] == 0.0:
+                    touched.append(cy)
+                comm_w[cy] += weights[e]
             comm_tot[cx] -= kx
             best_c = cx
-            best_gain = own_w - comm_tot[cx] * kx / two_m
-            for t in range(lo, end):
-                c = row_c[t]
+            best_gain = comm_w[cx] - comm_tot[cx] * kx / two_m
+            for c in touched:
                 if c == cx:
                     continue
-                gain = row_w[t] - comm_tot[c] * kx / two_m
+                gain = comm_w[c] - comm_tot[c] * kx / two_m
                 if gain > best_gain:
                     best_gain = gain
                     best_c = c
             comm_tot[best_c] += kx
+            for c in touched:
+                comm_w[c] = 0.0
+            touched.clear()
             if best_c != cx:
                 comm[x] = best_c
                 moves.append((x, cx, best_c))
                 moved = True
-                if not first_sweep:
-                    for e in range(lo, hi):
-                        n_row[indices[e]] = -1
-        first_sweep = False
     return comm
 
 

@@ -1,9 +1,10 @@
 """Full-rescan Louvain local moves, used only as a test oracle.
 
 Every visit rescans the node's whole CSR row to rebuild its neighbouring
-communities' weight sums, as the compiled kernel in ``_kernels.c`` does;
-the Python kernel `_local_moves` reuses those sums until a neighbour
-moves.  Both must give the same partitions and move logs on every level.
+communities' weight sums.  Both kernels, `_local_moves` and the compiled
+one in ``_kernels.c``, run the same algorithm; this is a separately
+written copy of it, with a fixed-size move log and caller-owned scratch,
+and all three must give the same partitions and move logs on every level.
 """
 
 import numpy as np

@@ -261,7 +261,7 @@ class TestKernel:
     # The same sha256 over the traffic of the benchmark's sweep: planted
     # corpora 7 and 11, the 16 thresholds 0.80-0.95, three Dirichlet weight
     # vectors and Louvain seeds 0 and 1, recorded from the full-rescan
-    # kernel before local moves reused a node's neighbour sums.
+    # local moves that both kernels run.
     SWEEP_PARTITION_SHA256 = ("4dba32dd8259a8c7e97c9cdedc89e697"
                               "abddf50659642ce1b19304582feff60d")
 
@@ -364,9 +364,9 @@ def levels(draw):
 
 
 class TestKernelMatchesFullRescan:
-    """`_local_moves` reuses a node's community sums until a neighbour moves;
-    it, and `_run_level` with whichever kernel is active, must agree move for
-    move with a kernel that rescans on every visit."""
+    """`_local_moves`, and `_run_level` with whichever kernel is active, must
+    agree move for move with the oracle, a separately written copy of the
+    same full-rescan algorithm."""
 
     @given(level=levels())
     @settings(max_examples=400, deadline=None)

@@ -2,13 +2,12 @@
 
 Each C entry point computes what a Python function in the package computes,
 and that function stays as the fallback: `_local_moves` and `_digest_bits`.
-The two local-move kernels are different algorithms: the C one rescans a
-node's edges on every visit, the Python one reuses a node's community sums
-until a neighbour moves.  These tests run both on the same inputs and
-require identical results.  Wherever a C compiler is on PATH the compiled
-kernels must be active, so that such a Tier-1 run cannot skip the
-comparison; without one, the fallback must give the same partitions and
-digests and warn once.
+The two local-move kernels run one algorithm, a rescan of the node's edges
+on every visit, written once in C and once in Python.  These tests run
+both on the same inputs and require identical results.  Wherever a C
+compiler is on PATH the compiled kernels must be active, so that such a
+Tier-1 run cannot skip the comparison; without one, the fallback must give
+the same partitions and digests and warn once.
 """
 
 import hashlib
@@ -147,6 +146,24 @@ class TestLocalMoves:
         csr, k, m = python_level(level)
         with pytest.raises(ValueError, match="permutation"):
             kernels.local_moves(*csr, k, m, level[-1])
+
+    # corruptions of the 3-node path's CSR, indptr [0, 1, 3, 4] and
+    # indices [1, 0, 2, 1], that keep every shape consistent
+    @pytest.mark.parametrize("indptr, indices", [
+        ([0, 1, 3, 4], [1, 0, 3, 1]),
+        ([0, 1, 3, 4], [1, 0, -1, 1]),
+        ([1, 1, 3, 4], [1, 0, 2, 1]),
+        ([0, 2, 1, 4], [1, 0, 2, 1]),
+    ], ids=["index-too-large", "index-negative", "indptr-not-from-0",
+            "indptr-decreasing"])
+    def test_malformed_csr_is_refused(self, indptr, indices):
+        kernels = compiled()
+        level = (3, np.array([0, 1]), np.array([1, 2]), np.ones(2), np.zeros(3),
+                 np.arange(3))
+        (_, _, weights), k, m = python_level(level)
+        with pytest.raises(ValueError, match="CSR is malformed"):
+            kernels.local_moves(np.array(indptr), np.array(indices), weights, k, m,
+                                level[-1])
 
     def test_inconsistent_shapes_are_refused(self):
         kernels = compiled()
