@@ -10,7 +10,8 @@ Per-layer numbers come from ``perfbench/run.py --trace 1`` and
 ``perfbench/compare.py``.  The
 file ``bench/BENCH_<label>.json`` of this checkout holds, per workload,
 every metric's median and quartiles over the seeds, every run's values,
-the environment block and the Louvain backend of the runs.  A later
+the environment block and the Louvain backend of the runs: ``c`` or
+``python``, from the checkout's own ``simnet._kernels.load()``.  A later
 invocation with the same label replaces the workloads it ran and keeps
 the others.
 
@@ -55,6 +56,21 @@ def workload_list(text: str) -> list[str]:
     return names
 
 
+def kernel_backend(root: Path) -> str:
+    """``c`` when checkout ``root``'s compiled kernels load, else ``python``.
+
+    Asked in a process of its own with that checkout's ``src`` first on
+    ``sys.path``: ``perfbench/envinfo.py`` recognises only numba.
+    """
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "from simnet import _kernels; "
+             "print('c' if _kernels.load() else 'python')")
+    proc = subprocess.run([sys.executable, "-c", probe, str(root / "src")],
+                          cwd=root, capture_output=True, text=True, check=True,
+                          timeout=900)
+    return proc.stdout.strip()
+
+
 def run_once(root: Path, workload: str, seed: int) -> dict:
     """One untraced perfbench run in checkout ``root``; returns its result file."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"),
@@ -69,7 +85,7 @@ def run_once(root: Path, workload: str, seed: int) -> dict:
     return json.loads(out.read_text())
 
 
-def summarize(label: str, results: dict[str, list[dict]]) -> dict:
+def summarize(label: str, results: dict[str, list[dict]], backend: str) -> dict:
     """Per workload: each metric's median and quartiles, and every run."""
     workloads = {}
     env = None
@@ -90,7 +106,7 @@ def summarize(label: str, results: dict[str, list[dict]]) -> dict:
             "metrics": metrics,
         }
     return {"label": label, "run_seconds": SPEC["run_seconds"],
-            "louvain_backend": env["louvain_backend"] if env else "unknown",
+            "louvain_backend": backend,
             "env": env, "workloads": workloads}
 
 
@@ -128,6 +144,8 @@ def main(argv=None) -> int:
         if args.against_label == args.label:   # one results list, one BENCH file
             ap.error(f"--against-label must differ from --label ({args.label!r})")
         sides.append((args.against_label, args.against.resolve()))
+    # probed first, so that a compile falls before the first timed run
+    backends = {label: kernel_backend(root) for label, root in sides}
     results = {label: {w: [] for w in args.workloads} for label, _ in sides}
     for workload in args.workloads:
         for i, seed in enumerate(args.seeds):
@@ -142,7 +160,7 @@ def main(argv=None) -> int:
     out_dir.mkdir(exist_ok=True)
     summaries = {}
     for label, _ in sides:
-        summaries[label] = summarize(label, results[label])
+        summaries[label] = summarize(label, results[label], backends[label])
         path = out_dir / f"BENCH_{label}.json"
         if path.exists():   # keep the workloads this invocation did not run
             kept = json.loads(path.read_text())["workloads"]

@@ -9,7 +9,8 @@
  * visit, and a digest counts its buckets into one table of 256 (one
  * bincount in Python).  Results must be bit-identical, so the build uses
  * -ffp-contract=off (no fused multiply-add) and no -ffast-math, and every
- * float expression keeps the Python evaluation order.
+ * float expression keeps the Python evaluation order.  A level that fills
+ * simnet_local_moves' move log runs in Python, which finishes any level.
  */
 
 #include <stdint.h>
@@ -28,12 +29,12 @@
  * same loop in Python, statement for statement.  Edgeless nodes are
  * skipped: no node can join their community.
  *
- * Writes each node's community to `comm` and the first `max_moves` accepted
- * moves to `moves` as (node, from, to) rows.  Returns the number of
- * accepted moves, which exceeds `max_moves` when the log was too short
- * (call again with a longer one), -1 when working memory could not be
- * allocated, and -2 when indptr does not rise from 0 to its last entry,
- * an index lies outside 0..n-1 or `order` is not a permutation of 0..n-1.
+ * Writes each node's community to `comm` and the accepted moves to `moves`
+ * as (node, from, to) rows.  Returns the number of moves; max_moves + 1,
+ * with `comm` unfinished, as soon as a move would not fit in the log; -1
+ * when working memory could not be allocated; and -2 when indptr does not
+ * rise from 0 to its last entry, an index lies outside 0..n-1 or `order`
+ * is not a permutation of 0..n-1.
  */
 int64_t simnet_local_moves(int64_t n, const int64_t *indptr,
                            const int64_t *indices, const double *weights,
@@ -112,12 +113,14 @@ int64_t simnet_local_moves(int64_t n, const int64_t *indptr,
             for (int64_t t = 0; t < n_touched; t++)
                 comm_w[touched[t]] = 0.0;
             if (best_c != cx) {
-                comm[x] = best_c;
-                if (n_moves < max_moves) {
-                    moves[3 * n_moves] = x;
-                    moves[3 * n_moves + 1] = cx;
-                    moves[3 * n_moves + 2] = best_c;
+                if (n_moves == max_moves) {
+                    n_moves = max_moves + 1;
+                    goto done;
                 }
+                comm[x] = best_c;
+                moves[3 * n_moves] = x;
+                moves[3 * n_moves + 1] = cx;
+                moves[3 * n_moves + 2] = best_c;
                 n_moves++;
                 moved = 1;
             }

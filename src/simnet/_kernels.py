@@ -5,8 +5,8 @@ system C compiler into ``$XDG_CACHE_HOME/simnet`` (default
 ``~/.cache/simnet``), and loads it with ctypes.  The library is named by
 the sha256 of everything that shapes it: the source, the compiler flags
 and the machine architecture, so a changed flag or a home directory shared
-by two architectures gets its own build.  The build writes to a temporary
-name and renames it into place, so concurrent processes never load a
+by two architectures gets its own build.  The build writes through
+``dataset.atomic_write``, so concurrent processes never load a
 half-written library.  When there is no compiler, the build fails or the
 cache directory is not writable, ``load`` logs one warning and returns
 None, and callers run the Python kernels, which give the same results.
@@ -15,7 +15,6 @@ Importing this module starts no process and imports no ctypes.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import logging
 import os
@@ -26,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import atomic_write
+
 log = logging.getLogger(__name__)
 
 SOURCE = Path(__file__).with_name("_kernels.c")
@@ -34,9 +35,6 @@ SOURCE = Path(__file__).with_name("_kernels.c")
 # where Python rounds twice
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 COMPILE_TIMEOUT_S = 120
-# The move log starts at 2n + 16 rows; levels of 8x50 planted corpora moved
-# at most 1.2n times.  A level that moves more runs again with a longer log.
-_LOG_ROWS_PER_NODE, _LOG_SPARE_ROWS = 2, 16
 
 
 class KernelBuildError(RuntimeError):
@@ -49,8 +47,9 @@ def compiler() -> str | None:
 
 
 def cache_dir() -> Path:
-    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    return Path(base) / "simnet"
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    # the XDG Base Directory spec: a relative path is invalid and is ignored
+    return (Path(base) if os.path.isabs(base) else Path.home() / ".cache") / "simnet"
 
 
 def _build(source: bytes) -> Path:
@@ -69,21 +68,18 @@ def _build(source: bytes) -> Path:
     if cc is None:
         raise KernelBuildError("no C compiler (cc or gcc) on PATH")
     lib.parent.mkdir(parents=True, exist_ok=True)
-    tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
-    try:
-        proc = subprocess.run([cc, *CFLAGS, "-o", str(tmp), "-x", "c", "-"],
-                              input=source, capture_output=True,
-                              timeout=COMPILE_TIMEOUT_S)
+    with atomic_write(lib, "wb") as fh:
+        fh.close()   # the compiler writes the file by its name
+        try:
+            proc = subprocess.run([cc, *CFLAGS, "-o", fh.name, "-x", "c", "-"],
+                                  input=source, capture_output=True,
+                                  timeout=COMPILE_TIMEOUT_S)
+        except subprocess.TimeoutExpired as e:
+            raise KernelBuildError(f"{cc} took over {COMPILE_TIMEOUT_S} s") from e
         if proc.returncode != 0:
             raise KernelBuildError(
                 f"{cc} exited {proc.returncode}: "
                 f"{proc.stderr.decode(errors='replace').strip()}")
-        os.replace(tmp, lib)
-    except subprocess.TimeoutExpired as e:
-        raise KernelBuildError(f"{cc} took over {COMPILE_TIMEOUT_S} s") from e
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
     return lib
 
 
@@ -103,14 +99,13 @@ class Kernels:
         self.path = path
         self._lib = lib
 
-    def local_moves(self, indptr, indices, weights, k, m: float, order):
+    def local_moves(self, indptr, indices, weights, k, m: float, order,
+                    max_moves: int):
         """community._local_moves's result on numpy CSR arrays: (comm, moves).
 
-        The two kernels run one algorithm, a rescan of the node's edges on
-        every visit, and give the same partition and moves.  ``moves`` is
-        an (n_moves, 3) int64 array of (node, from, to) rows.  A level
-        whose log overflows runs again with a log of exactly its length;
-        the kernel is deterministic, so that gives the same moves.
+        ``moves`` is an (n_moves, 3) int64 array of (node, from, to) rows.
+        None when the level needs more than ``max_moves`` moves: the kernel
+        stops there, and the caller runs the Python kernel instead.
         """
         n = len(k)
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
@@ -122,22 +117,18 @@ class Kernels:
                 and indices.shape == weights.shape == (int(indptr[-1]),)):
             raise ValueError("local_moves: inconsistent CSR, degree or order shapes")
         comm = np.empty(n, dtype=np.int64)
-        cap = _LOG_ROWS_PER_NODE * n + _LOG_SPARE_ROWS
-        while True:
-            moves = np.empty((cap, 3), dtype=np.int64)
-            got = self._lib.simnet_local_moves(
-                n, indptr.ctypes.data, indices.ctypes.data, weights.ctypes.data,
-                k.ctypes.data, m, order.ctypes.data, comm.ctypes.data,
-                moves.ctypes.data, cap)
-            if got == -1:
-                raise MemoryError("local_moves: working memory allocation failed")
-            if got == -2:
-                raise ValueError("local_moves: order is not a permutation of the "
-                                 "nodes, or the CSR is malformed (indptr does not "
-                                 "rise from 0, or an index is out of range)")
-            if got <= cap:
-                return comm, moves[:got]
-            cap = got
+        moves = np.empty((max_moves, 3), dtype=np.int64)
+        got = self._lib.simnet_local_moves(
+            n, indptr.ctypes.data, indices.ctypes.data, weights.ctypes.data,
+            k.ctypes.data, m, order.ctypes.data, comm.ctypes.data,
+            moves.ctypes.data, max_moves)
+        if got == -1:
+            raise MemoryError("local_moves: working memory allocation failed")
+        if got == -2:
+            raise ValueError("local_moves: order is not a permutation of the "
+                             "nodes, or the CSR is malformed (indptr does not "
+                             "rise from 0, or an index is out of range)")
+        return None if got > max_moves else (comm, moves[:got])
 
     def digest_rows(self, buffers: Iterable[bytes], lookup: np.ndarray) -> np.ndarray:
         """The (n, 32) uint8 Nilsimsa digests of ``buffers``, one row each.

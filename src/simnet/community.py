@@ -184,12 +184,16 @@ def _local_moves(indptr, indices, weights, k, m, order, moves):
     return comm
 
 
+# rows of the compiled move log: 2n + 16; no measured level moved over 1.29n
+_LOG_ROWS_PER_NODE, _LOG_SPARE_ROWS = 2, 16
+
+
 def _run_level(n, src, dst, w, self_w, order):
     """Local moves from singletons on one level's graph.
 
     Returns (comm, moves) as int64 arrays, moves as (node, from, to) rows.
-    An edgeless level has no moves and builds no CSR.  The compiled kernel
-    runs when it is available, else `_local_moves`; both give the same.
+    An edgeless level has no moves and builds no CSR.  `_local_moves` runs
+    when the compiled kernel is unavailable or fills its log; both give the same.
     """
     if len(src) == 0:
         return np.arange(n, dtype=np.int64), np.empty((0, 3), dtype=np.int64)
@@ -198,7 +202,10 @@ def _run_level(n, src, dst, w, self_w, order):
     m = float(w.sum()) + float(self_w.sum())
     kernels = _kernels.load()
     if kernels is not None:
-        return kernels.local_moves(*csr, k, m, order)
+        done = kernels.local_moves(*csr, k, m, order,
+                                   _LOG_ROWS_PER_NODE * n + _LOG_SPARE_ROWS)
+        if done is not None:
+            return done
     moves = []
     comm = _local_moves(*(a.tolist() for a in csr), k.tolist(), m, order.tolist(),
                         moves)

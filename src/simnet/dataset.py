@@ -144,8 +144,6 @@ def _record_to_sample(rec: dict, line_no: int) -> Sample:
     family = rec.get("family")
     if family is not None and not isinstance(family, str):
         raise ValidationError(sid, "family", "must be a string or null")
-    if family == "":
-        raise ValidationError(sid, "family", "must be non-empty or null")
 
     seq = rec.get("api_sequence")
     if not isinstance(seq, list) or any(not isinstance(t, str) for t in seq):

@@ -1,9 +1,11 @@
-"""Argument checks of ``scripts/bench.py`` that stop before any run."""
+"""Checks of ``scripts/bench.py`` that run no benchmark."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from simnet import _kernels
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,3 +28,7 @@ def test_against_label_equal_to_label_is_a_usage_error(bench, capsys):
     assert exc.value.code == 2
     assert "--against-label must differ from --label" in capsys.readouterr().err
     assert not (ROOT / "bench" / "BENCH_same.json").exists()
+
+
+def test_backend_probe_matches_the_loaded_kernels(bench):
+    assert bench.kernel_backend(ROOT) == ("c" if _kernels.load() else "python")

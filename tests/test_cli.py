@@ -368,6 +368,25 @@ class TestCommands:
         assert SimilarityTensor.load(cache).sample_order == ds.ids
         assert [p.name for p in tmp_path.iterdir()] == ["tensor.bin"]
 
+    def test_cache_of_another_dataset_is_rebuilt(self, dataset_path, tmp_path,
+                                                 capsys, caplog):
+        other = tmp_path / "other.jsonl"
+        save_dataset(Dataset(tuple(replace(s, id=f"other-{s.id}") for s in
+                                   generate_planted(2, 5, 0.2, seed=4))), other)
+        ds = load_dataset(other)
+        main(["similarity", "--dataset", str(other)])
+        fresh = capsys.readouterr().out
+        cache = tmp_path / "tensor.bin"
+        assert main(["similarity", "--dataset", str(dataset_path),
+                     "--cache", str(cache)]) == EXIT_OK
+        capsys.readouterr()
+        with caplog.at_level("WARNING", logger="simnet.cli"):
+            assert main(["similarity", "--dataset", str(other),
+                         "--cache", str(cache)]) == EXIT_OK
+        assert capsys.readouterr().out == fresh
+        assert "does not match dataset; rebuilding" in caplog.text
+        assert SimilarityTensor.load(cache).sample_order == ds.ids
+
     def test_cluster_percent_and_fraction_thresholds_agree(self, dataset_path,
                                                            tmp_path):
         d1, d2 = tmp_path / "p", tmp_path / "f"

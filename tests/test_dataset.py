@@ -199,6 +199,33 @@ class TestLoadErrors:
         assert [r.getMessage() for r in caplog.records] == [
             "skipping line 2: invalid JSON (nesting too deep)"]
 
+    # `where` is the line number of a ParseError, the field of a ValidationError
+    @pytest.mark.parametrize("record, where, reason", [
+        ('[1, 2]', 2, "record is not a JSON object"),
+        ('{"api_sequence":[]}', 2, "missing or empty 'id'"),
+        ('{"id":"","api_sequence":[]}', 2, "missing or empty 'id'"),
+        ('{"id":"b","family":"","api_sequence":[]}', "family",
+         "must be non-empty or null"),
+        ('{"id":"b","api_sequence":[],"permissions":"p"}', "permissions",
+         "must be a list of strings"),
+        ('{"id":"b","api_sequence":[],"activity_names":["a",1]}', "activity_names",
+         "must be a list of strings"),
+    ], ids=["array", "no-id", "empty-id", "empty-family", "set-not-a-list",
+            "set-not-strings"])
+    def test_rejected_record_names_line_or_field(self, tmp_path, record, where,
+                                                 reason):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id":"a","api_sequence":["x"]}\n' + record + "\n")
+        with pytest.raises((ParseError, ValidationError)) as exc:
+            load_dataset(path)
+        e = exc.value
+        assert e.reason == reason
+        if isinstance(e, ParseError):
+            assert e.line_no == where
+        else:
+            assert (e.sample_id, e.fieldname) == ("b", where)
+        assert load_dataset(path, skip_invalid=True).ids == ("a",)
+
     @pytest.mark.parametrize("field,record", [
         ("id", '{"id":"b\\ud800","api_sequence":[]}'),
         ("family", '{"id":"b","family":"\\udfff","api_sequence":[]}'),

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simnet import WeightVector, _kernels, build_graph, louvain
-from simnet.community import _build_csr, _local_moves, _weighted_degrees
+from simnet import WeightVector, _kernels, build_graph, community, louvain
+from simnet.community import _build_csr, _local_moves, _run_level, _weighted_degrees
 from simnet.similarity import _LOOKUP, _digest_bits, _digest_rows
 from test_community import levels
 
@@ -68,6 +68,13 @@ def test_build_is_cached_by_source_sha256(tmp_path, monkeypatch, caplog, fresh_l
     assert caplog.records == []
 
 
+def test_relative_xdg_cache_home_is_ignored(tmp_path, monkeypatch):
+    # the XDG Base Directory spec calls a relative path invalid
+    monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert _kernels.cache_dir() == tmp_path / ".cache" / "simnet"
+
+
 @pytest.mark.parametrize("change", ["cflags", "machine"])
 def test_other_flags_or_machine_build_a_second_library(change, tmp_path, monkeypatch,
                                                         fresh_load):
@@ -89,7 +96,7 @@ def test_other_flags_or_machine_build_a_second_library(change, tmp_path, monkeyp
     level = (3, np.array([0, 1]), np.array([1, 2]), np.ones(2), np.zeros(3), np.arange(3))
     csr, k, m = python_level(level)
     comm, moves = python_moves(csr, k, m, level[-1])
-    got_comm, got_moves = second.local_moves(*csr, k, m, level[-1])
+    got_comm, got_moves = second.local_moves(*csr, k, m, level[-1], len(moves))
     assert got_comm.tolist() == comm and got_moves.tolist() == moves
 
 
@@ -115,17 +122,28 @@ class TestLocalMoves:
         csr, k, m = python_level(level)
         order = level[-1]
         comm, moves = python_moves(csr, k, m, order)
-        got_comm, got_moves = kernels.local_moves(*csr, k, m, order)
+        # the Python kernel's count as the budget, so that a compiled kernel
+        # needing more moves, or never settling, fails at once
+        got = kernels.local_moves(*csr, k, m, order, len(moves))
+        assert got is not None, "the compiled kernel made more moves than Python"
+        got_comm, got_moves = got
         assert got_comm.dtype == got_moves.dtype == np.int64
         assert got_moves.shape == (len(moves), 3)
         assert got_comm.tolist() == comm
         assert got_moves.tolist() == moves
 
-    def test_overflowing_move_log_reruns_to_the_same_moves(self, small_tensor,
-                                                          monkeypatch):
+    def test_a_full_move_log_falls_back_to_the_python_kernel(self, small_tensor,
+                                                            monkeypatch):
         kernels = compiled()
-        monkeypatch.setattr(_kernels, "_LOG_ROWS_PER_NODE", 0)
-        monkeypatch.setattr(_kernels, "_LOG_SPARE_ROWS", 1)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _local_moves(*args)
+
+        monkeypatch.setattr(community, "_local_moves", counted)
+        monkeypatch.setattr(community, "_LOG_ROWS_PER_NODE", 0)
+        monkeypatch.setattr(community, "_LOG_SPARE_ROWS", 1)
         for threshold in (0.80, 0.90):
             g = build_graph(small_tensor, WeightVector.equal(), threshold)
             src, dst = g.src.astype(np.int64), g.dst.astype(np.int64)
@@ -133,8 +151,11 @@ class TestLocalMoves:
                      np.random.default_rng(3).permutation(g.n))
             csr, k, m = python_level(level)
             comm, moves = python_moves(csr, k, m, level[-1])
-            assert len(moves) > 1   # so the one-row log overflowed
-            got_comm, got_moves = kernels.local_moves(*csr, k, m, level[-1])
+            assert len(moves) > 1   # so a one-row log is full
+            assert kernels.local_moves(*csr, k, m, level[-1], 1) is None
+            calls.clear()
+            got_comm, got_moves = _run_level(*level)
+            assert len(calls) == 1
             assert got_comm.tolist() == comm
             assert got_moves.tolist() == moves
 
@@ -145,7 +166,7 @@ class TestLocalMoves:
                  np.array(order))
         csr, k, m = python_level(level)
         with pytest.raises(ValueError, match="permutation"):
-            kernels.local_moves(*csr, k, m, level[-1])
+            kernels.local_moves(*csr, k, m, level[-1], 16)
 
     # corruptions of the 3-node path's CSR, indptr [0, 1, 3, 4] and
     # indices [1, 0, 2, 1], that keep every shape consistent
@@ -163,7 +184,7 @@ class TestLocalMoves:
         (_, _, weights), k, m = python_level(level)
         with pytest.raises(ValueError, match="CSR is malformed"):
             kernels.local_moves(np.array(indptr), np.array(indices), weights, k, m,
-                                level[-1])
+                                level[-1], 16)
 
     def test_inconsistent_shapes_are_refused(self):
         kernels = compiled()
@@ -171,7 +192,7 @@ class TestLocalMoves:
                  np.arange(3))
         (indptr, indices, weights), k, m = python_level(level)
         with pytest.raises(ValueError, match="shapes"):
-            kernels.local_moves(indptr, indices[:-1], weights, k, m, level[-1])
+            kernels.local_moves(indptr, indices[:-1], weights, k, m, level[-1], 16)
 
 
 class TestDigestRows:
@@ -223,6 +244,8 @@ def test_fallback_gives_identical_results_and_warns_once(
     assert [r.name for r in caplog.records] == ["simnet._kernels"]
     assert "using the Python kernels" in caplog.records[0].getMessage()
     assert got_digests.tobytes() == want_digests.tobytes()
+    if case == "build-fails":   # the failed compile left no file behind
+        assert list((tmp_path / "cache" / "simnet").iterdir()) == []
     for p, q in zip(got, want):
         assert p.membership.tolist() == q.membership.tolist()
         assert p.modularity == q.modularity
