@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_str  # json.dumps's, ASCII-only
 from pathlib import Path
 
 from .community import Partition, cluster
@@ -163,51 +164,67 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
+# graph.json is json.dumps(obj, indent=2, sort_keys=True) + "\n" of
+# {"links": [...], "nodes": [...], "meta": {...}}, written from these
+# templates: the link and node objects at their nesting depth, keys sorted
+_LINK_JSON = ('    {\n      "source": %s,\n      "target": %s,\n'
+              '      "weight": %r\n    }')
+_NODE_JSON = ('    {\n      "community": %d,\n      "degree": %d,\n'
+              '      "family": %s,\n      "id": %s,\n'
+              '      "predicted_label": %s\n    }')
+_GRAPH_JSON = '{\n  "links": %s,\n  "meta": %s,\n  "nodes": %s\n}\n'
+_NODE_DOT = '  "%s" [family="%s", community=%d, predicted="%s", degree=%d];'
+_LINK_DOT = '  "%s" -- "%s" [weight=%.6f];'
+
+
+def _json_list(items: list[str]) -> str:
+    """A list of pre-indented items as the value of a top-level key."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def cmd_export_graph(g: SimilarityGraph, p: Partition, ds: Dataset,
                      path, accuracy: float | None = None) -> None:
     """Write the graph as force-layout-ready JSON plus a DOT sibling file.
 
     JSON: nodes [{id, family, community, predicted_label, degree}],
     links [{source, target, weight}], meta {weights, threshold,
-    modularity, accuracy}.
+    modularity, accuracy}; its bytes are those of
+    ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``.  Every string is
+    encoded once per node or community, as json.dumps encodes it.
     """
     path = Path(path)
-    deg = g.degrees()
-    labels = p.community_labels
-    nodes = []
-    for i, nid in enumerate(g.node_ids):
-        lab = labels[int(p.membership[i])]
-        nodes.append({
-            "id": nid,
-            "family": ds[nid].family,
-            "community": int(p.membership[i]),
-            "predicted_label": lab if lab is not None else UNLABELED,
-            "degree": int(deg[i]),
-        })
-    links = [{"source": g.node_ids[i], "target": g.node_ids[j], "weight": w}
-             for i, j, w in g.edges()]
+    ids = g.node_ids
+    families = [ds[nid].family for nid in ids]
+    predicted = [lab if lab is not None else UNLABELED
+                 for lab in p.community_labels.values()]
+    membership = p.membership.tolist()
+    degree = g.degrees().tolist()
+    src, dst, weight = g.src.tolist(), g.dst.tolist(), g.weight.tolist()
+
+    id_json = [_json_str(nid) for nid in ids]
+    pred_json = [_json_str(lab) for lab in predicted]
+    nodes = [_NODE_JSON % (c, d, "null" if fam is None else _json_str(fam), q,
+                           pred_json[c])
+             for q, fam, c, d in zip(id_json, families, membership, degree)]
+    links = [_LINK_JSON % (id_json[i], id_json[j], w)
+             for i, j, w in zip(src, dst, weight)]
     meta = {
         "weights": g.weights_used.as_dict(),
         "threshold": g.threshold,
         "modularity": p.modularity,
         "accuracy": accuracy,
     }
-    _json_dump({"nodes": nodes, "links": links, "meta": meta}, path)
+    # json.dumps escapes newlines inside strings, so each raw one starts a line
+    meta_json = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+    _write(path, _GRAPH_JSON % (_json_list(links), meta_json, _json_list(nodes)))
 
+    id_dot = [_dot_escape(nid) for nid in ids]
+    pred_dot = [_dot_escape(lab) for lab in predicted]
     out = ["graph simnet {"]
-    for node in nodes:
-        out.append(
-            '  "{id}" [family="{family}", community={community}, '
-            'predicted="{predicted}", degree={degree}];'.format(
-                id=_dot_escape(node["id"]),
-                family=_dot_escape(node["family"] or ""),
-                community=node["community"],
-                predicted=_dot_escape(node["predicted_label"]),
-                degree=node["degree"]))
-    for link in links:
-        out.append('  "{s}" -- "{t}" [weight={w:.6f}];'.format(
-            s=_dot_escape(link["source"]), t=_dot_escape(link["target"]),
-            w=link["weight"]))
+    out += [_NODE_DOT % (q, _dot_escape(fam or ""), c, pred_dot[c], d)
+            for q, fam, c, d in zip(id_dot, families, membership, degree)]
+    out += [_LINK_DOT % (id_dot[i], id_dot[j], w)
+            for i, j, w in zip(src, dst, weight)]
     out.append("}")
     _write(path.with_suffix(".dot"), "\n".join(out) + "\n")
 

@@ -307,9 +307,14 @@ def label_communities(p: Partition, ds: Dataset,
 
 def cluster(t: SimilarityTensor, ds: Dataset, w: WeightVector, threshold: float,
             seed: int, voters: np.ndarray | None = None,
+            graph: SimilarityGraph | None = None,
             ) -> tuple[SimilarityGraph, Partition]:
-    """build_graph → louvain → label_communities, whose ``voters`` row mask it takes."""
+    """build_graph → louvain → label_communities, whose ``voters`` row mask it takes.
+
+    ``graph``, when given, is ``build_graph(t, w, threshold)`` built earlier,
+    and is used in its place.
+    """
     if t.sample_order != ds.ids:
         raise ValueError("tensor sample_order does not match dataset order")
-    g = build_graph(t, w, threshold)
+    g = build_graph(t, w, threshold) if graph is None else graph
     return g, label_communities(louvain(g, seed), ds, voters)

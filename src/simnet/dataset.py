@@ -10,6 +10,7 @@ import random
 import re
 import shutil
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -146,13 +147,14 @@ def _record_to_sample(rec: dict, line_no: int) -> Sample:
         raise ValidationError(sid, "family", "must be a string or null")
 
     seq = rec.get("api_sequence")
-    if not isinstance(seq, list) or any(not isinstance(t, str) for t in seq):
+    # map(isinstance, ...) checks the elements without a Python-level loop
+    if not isinstance(seq, list) or not all(map(isinstance, seq, repeat(str))):
         raise ValidationError(sid, "api_sequence", "must be a list of strings")
 
     sets: dict[str, frozenset[str]] = {}
     for name in _SET_FIELDS:
         raw = rec.get(name, [])
-        if not isinstance(raw, list) or any(not isinstance(t, str) for t in raw):
+        if not isinstance(raw, list) or not all(map(isinstance, raw, repeat(str))):
             raise ValidationError(sid, name, "must be a list of strings")
         sets[name] = frozenset(raw)
 

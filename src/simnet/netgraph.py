@@ -72,8 +72,10 @@ def build_graph(t: SimilarityTensor, w: WeightVector,
                 threshold: float) -> SimilarityGraph:
     """Connect every pair whose fused similarity strictly exceeds threshold.
 
-    Isolated nodes stay in the node list; at threshold 1.0 the graph is
-    necessarily edgeless.
+    Isolated nodes stay in the node list.  A graph at threshold 1.0 need
+    not be edgeless: WeightVector allows a sum up to 1 + 1e-9, so
+    WeightVector(0.25, 0.25, 0.25, 0.2500000009) fuses a pair with every
+    feature at 1.0 to 1.0000000009, which exceeds 1.0.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")

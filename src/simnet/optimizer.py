@@ -15,6 +15,7 @@ import numpy as np
 
 from .community import cluster
 from .dataset import Dataset
+from .netgraph import SimilarityGraph, build_graph
 from .similarity import SimilarityTensor, WeightVector
 
 
@@ -60,20 +61,25 @@ class OptimizerTrace:
 
 
 def clustering_error(t: SimilarityTensor, ds: Dataset, w: WeightVector,
-                     threshold: float, seed: int) -> float:
+                     threshold: float, seed: int,
+                     graph: SimilarityGraph | None = None) -> float:
     """1 − (labeled nodes whose community label matches their family) / labeled.
 
     Members of Unlabeled (singleton or voter-free) communities count as
-    wrong.
+    wrong.  ``graph`` is passed on to `cluster`.
     """
     labeled = ds.labeled_ids
     if not labeled:
         raise NoLabeledSamplesError("dataset has no labeled samples")
-    _, p = cluster(t, ds, w, threshold, seed)
+    _, p = cluster(t, ds, w, threshold, seed, graph=graph)
     rows = ds.family_codes >= 0
     correct = np.count_nonzero(p.label_codes[p.membership[rows]]
                                == ds.family_codes[rows])
     return 1.0 - int(correct) / len(labeled)
+
+
+# graphs one search keeps, by weight vector, least recently used dropped first
+_GRAPH_MEMO_SIZE = 16
 
 
 def propose_weights(rng: np.random.Generator, base: WeightVector,
@@ -104,18 +110,33 @@ def optimize_weights(t: SimilarityTensor, ds: Dataset, cfg: OptimizerConfig,
     best_weights or best_error.  With ``stop_at_zero`` the search ends
     there, for callers that read only those two: its history is the
     full search's history up to that entry, and the result is identical.
+
+    Proposals revisit a few weight vectors many times, and a graph depends
+    only on the tensor, the weights and the threshold, so the search keeps
+    the graphs of its last _GRAPH_MEMO_SIZE distinct weight vectors and
+    builds each of those once.
     """
     rng = np.random.default_rng(cfg.seed % (2 ** 64))
     best_w = WeightVector.equal()
-    best_err = clustering_error(t, ds, best_w, cfg.threshold,
-                                derive_seed(cfg.seed, 0))
+    graphs: dict[WeightVector, SimilarityGraph] = {}   # least recently used first
+
+    def score(w: WeightVector, it: int) -> float:
+        g = graphs.pop(w, None)
+        if g is None:
+            g = build_graph(t, w, cfg.threshold)
+            if len(graphs) == _GRAPH_MEMO_SIZE:
+                del graphs[next(iter(graphs))]
+        graphs[w] = g
+        return clustering_error(t, ds, w, cfg.threshold, derive_seed(cfg.seed, it),
+                                graph=g)
+
+    best_err = score(best_w, 0)
     history = [TraceEntry(0, best_w, best_err, True)]
     for it in range(1, cfg.iterations + 1):
         if stop_at_zero and best_err == 0.0:
             break
         cand = propose_weights(rng, best_w, cfg.learning_rate)
-        err = clustering_error(t, ds, cand, cfg.threshold,
-                               derive_seed(cfg.seed, it))
+        err = score(cand, it)
         accepted = err < best_err
         if accepted:
             best_w, best_err = cand, err

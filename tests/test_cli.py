@@ -15,12 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 import simnet
 import simnet.optimizer
-from simnet import (FEATURES, Dataset, OptimizerConfig, SimilarityTensor,
-                    WeightVector, build_similarity_tensor, classify,
-                    derive_seed, generate_planted, load_dataset, save_dataset)
+from simnet import (FEATURES, Dataset, OptimizerConfig, Sample, SimilarityGraph,
+                    SimilarityTensor, WeightVector, build_similarity_tensor,
+                    classify, derive_seed, generate_planted, label_communities,
+                    load_dataset, louvain, save_dataset)
 from simnet.cli import (EXIT_DATA, EXIT_OK, EXIT_PIPELINE, EXIT_USAGE,
-                        _threshold_list_arg, _write, build_parser, main, parse_args,
-                        parse_threshold, parse_weights)
+                        _threshold_list_arg, _write, build_parser, cmd_export_graph,
+                        main, parse_args, parse_threshold, parse_weights)
+from simnet.community import cluster
+from export_oracle import export_texts
 from test_similarity import CORRUPT_HEADERS, OUT_OF_RANGE, patch_pair
 
 
@@ -634,6 +637,64 @@ class TestClassifySeed:
         for name in ("graph.json", "graph.dot"):
             assert ((tmp_path / name).read_bytes()
                     == (run / name).read_bytes()), name
+
+
+# strings that JSON and DOT escape differently: quote, backslash, non-ASCII,
+# astral, control characters, tab and newline
+_AWKWARD = st.text(alphabet=st.sampled_from(['"', "\\", "\u00e9", "\U0001F600",
+                                             "\x01", "\t", "\n", "a"]),
+                   min_size=1, max_size=4)
+_NAMES = _AWKWARD | st.text(min_size=1, max_size=4)
+
+
+@st.composite
+def exported_graphs(draw):
+    """(graph, labeled partition, dataset, accuracy) on up to six samples."""
+    n = draw(st.integers(1, 6))
+    ids = draw(st.lists(_NAMES, min_size=n, max_size=n, unique=True))
+    families = draw(st.lists(st.none() | _NAMES, min_size=n, max_size=n))
+    ds = Dataset(tuple(Sample(i, f, (), frozenset(), frozenset(), frozenset())
+                       for i, f in zip(ids, families)))
+    threshold = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = []
+    if pairs and threshold < 1.0:
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+        weight = st.floats(threshold, 1.0, exclude_min=True)
+        edges = [(i, j, draw(weight)) for i, j in chosen]
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4)))
+    g = SimilarityGraph.from_edges(ids, edges, threshold,
+                                   WeightVector.from_array(raw / raw.sum()))
+    p = label_communities(louvain(g, draw(st.integers(0, 3))), ds)
+    accuracy = draw(st.none() | st.floats(0.0, 1.0))
+    return g, p, ds, accuracy
+
+
+def _assert_export_matches_oracle(g, p, ds, accuracy, out: Path) -> None:
+    cmd_export_graph(g, p, ds, out / "graph.json", accuracy=accuracy)
+    want_json, want_dot = export_texts(g, p, ds, accuracy)
+    assert (out / "graph.json").read_bytes() == want_json.encode("utf-8")
+    assert (out / "graph.dot").read_bytes() == want_dot.encode("utf-8")
+
+
+class TestExportBytes:
+    """graph.json and graph.dot are the bytes of the dict-and-json.dumps writer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(exported_graphs())
+    def test_awkward_strings_match_the_oracle(self, case):
+        with tempfile.TemporaryDirectory() as d:
+            _assert_export_matches_oracle(*case, Path(d))
+
+    # 0.0 links every pair; at 1.0 this graph is edgeless
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("accuracy", [None, 0.75])
+    def test_planted_graphs_match_the_oracle(self, small_ds, small_tensor,
+                                             threshold, accuracy, tmp_path):
+        g, p = cluster(small_tensor, small_ds, WeightVector(0.4, 0.3, 0.2, 0.1),
+                       threshold, seed=1)
+        assert (g.edge_count == 0) == (threshold == 1.0)
+        _assert_export_matches_oracle(g, p, small_ds, accuracy, tmp_path)
 
 
 class TestPlantedExperiment:

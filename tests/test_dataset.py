@@ -206,12 +206,16 @@ class TestLoadErrors:
         ('{"id":"","api_sequence":[]}', 2, "missing or empty 'id'"),
         ('{"id":"b","family":"","api_sequence":[]}', "family",
          "must be non-empty or null"),
+        ('{"id":"b","api_sequence":"x"}', "api_sequence",
+         "must be a list of strings"),
+        ('{"id":"b","api_sequence":["x",null]}', "api_sequence",
+         "must be a list of strings"),
         ('{"id":"b","api_sequence":[],"permissions":"p"}', "permissions",
          "must be a list of strings"),
         ('{"id":"b","api_sequence":[],"activity_names":["a",1]}', "activity_names",
          "must be a list of strings"),
-    ], ids=["array", "no-id", "empty-id", "empty-family", "set-not-a-list",
-            "set-not-strings"])
+    ], ids=["array", "no-id", "empty-id", "empty-family", "seq-not-a-list",
+            "seq-not-strings", "set-not-a-list", "set-not-strings"])
     def test_rejected_record_names_line_or_field(self, tmp_path, record, where,
                                                  reason):
         path = tmp_path / "bad.jsonl"

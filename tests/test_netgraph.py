@@ -26,6 +26,17 @@ class TestBuildGraph:
         assert g.edge_count == 0
         assert g.n == 3
 
+    def test_weights_summing_above_one_link_at_threshold_one(self):
+        # WeightVector allows a sum up to 1 + 1e-9, so a fused score can
+        # exceed 1.0, and such a pair is an edge even at threshold 1.0
+        t = SimilarityTensor(tuple("ab"), *(np.ones(1) for _ in range(4)))
+        w = WeightVector(0.25, 0.25, 0.25, 0.2500000009)
+        g = build_graph(t, w, 1.0)
+        assert g.edge_count == 1
+        assert list(g.edges()) == [(0, 1, final_similarity(t, w, 0, 1))]
+        assert 1.0 < g.weight[0] <= 1.0 + 1e-9
+        assert build_graph(t, WeightVector.equal(), 1.0).edge_count == 0
+
     def test_threshold_zero_all_ones_is_complete(self):
         t = SimilarityTensor(tuple("abcd"), *(np.ones(6) for _ in range(4)))
         g = build_graph(t, WeightVector.equal(), 0.0)

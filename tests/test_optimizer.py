@@ -204,6 +204,85 @@ def _count_cluster_calls(monkeypatch):
     return calls
 
 
+def _record_build_graph(monkeypatch):
+    """Patch the optimizer's build_graph to log each call's (tensor, weights)."""
+    calls = []
+    real = simnet.optimizer.build_graph
+
+    def recording(t, w, threshold):
+        calls.append((t, w))
+        return real(t, w, threshold)
+
+    monkeypatch.setattr(simnet.optimizer, "build_graph", recording)
+    return calls
+
+
+def _lru_misses(keys, size) -> int:
+    """Misses of a least-recently-used cache of ``size`` keys over ``keys``."""
+    cache, misses = [], 0
+    for k in keys:
+        if k in cache:
+            cache.remove(k)
+        else:
+            misses += 1
+            if len(cache) == size:
+                cache.pop(0)
+        cache.append(k)
+    return misses
+
+
+class TestGraphMemo:
+    """A search builds each of its last 16 distinct weight vectors' graphs once."""
+
+    def test_one_build_per_distinct_weight_vector(self, small_ds, small_tensor,
+                                                  fast_cfg, monkeypatch):
+        calls = _record_build_graph(monkeypatch)
+        trace = optimize_weights(small_tensor, small_ds, fast_cfg)
+        distinct = {e.weights for e in trace.history}
+        assert len(distinct) <= 16 < len(trace.history)
+        assert len(calls) == len(distinct)
+        assert {w for _, w in calls} == distinct
+
+    @pytest.mark.parametrize("size", [1, 6])
+    def test_builds_are_the_misses_of_a_least_recently_used_memo(
+            self, small_ds, small_tensor, fast_cfg, monkeypatch, size):
+        # a search revisits its incumbent's few neighbours, so 16 keys never
+        # evict one that comes back; a smaller memo does
+        monkeypatch.setattr(simnet.optimizer, "_GRAPH_MEMO_SIZE", size)
+        calls = _record_build_graph(monkeypatch)
+        trace = optimize_weights(small_tensor, small_ds, fast_cfg)
+        weights = [e.weights for e in trace.history]
+        assert len(calls) == _lru_misses(weights, size) > len(set(weights))
+
+    def test_history_is_scored_as_without_the_memo(self, small_ds, small_tensor,
+                                                   fast_cfg):
+        trace = optimize_weights(small_tensor, small_ds, fast_cfg)
+        assert [e.error for e in trace.history] == [
+            clustering_error(small_tensor, small_ds, e.weights, fast_cfg.threshold,
+                             derive_seed(fast_cfg.seed, e.iteration))
+            for e in trace.history]
+
+    def test_searches_on_other_tensors_build_their_own_graphs(self, monkeypatch):
+        first = generate_planted(3, 6, 0.10, seed=1)
+        second = generate_planted(3, 6, 0.30, seed=1)
+        assert first.ids == second.ids
+        tensors = [build_similarity_tensor(ds) for ds in (first, second)]
+        cfg = OptimizerConfig(iterations=10, learning_rate=0.05,
+                              threshold=0.80, seed=0)
+        before = [optimize_weights(t, ds, cfg)
+                      for t, ds in zip(tensors, (first, second))]
+        calls = _record_build_graph(monkeypatch)
+        traces = [optimize_weights(t, ds, cfg)
+                  for t, ds in zip(tensors, (first, second))]
+        assert traces == before
+        assert before[0].history != before[1].history
+        for t, trace in zip(tensors, traces):
+            built = {w for owner, w in calls if owner is t}
+            assert built == {e.weights for e in trace.history}
+        assert len(calls) == sum(len({e.weights for e in tr.history})
+                                 for tr in traces)
+
+
 class TestStopAtZero:
     # corpus 7 at 0.90, seed 0: first zero error at iteration 38
     CFG = OptimizerConfig(iterations=60, learning_rate=0.05, threshold=0.90,
